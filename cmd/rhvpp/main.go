@@ -84,7 +84,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		procs    = fs.Int("procs", 0, "fan study units out to N shard subprocesses of this binary")
 		shardRun = fs.String("shard-exec", "", "internal: execute the ShardRequest JSON file at this path, write the artifact to stdout")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := optparse.ParseFlags(fs, args); err != nil {
 		return err
 	}
 

@@ -15,6 +15,23 @@ import (
 	"github.com/dramstudy/rhvpp/internal/server"
 )
 
+// Connection bounds of `rhvpp serve`: a client must finish its request
+// headers within readHeaderTimeout, and a keep-alive connection is closed
+// after idleTimeout without a request, so a slow or stalled client cannot
+// hold a connection open indefinitely. There is deliberately no
+// WriteTimeout: NDJSON progress streams and cold campaign computations
+// legitimately run for minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer wraps the API handler in an http.Server with the connection
+// bounds above.
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // runServe starts the campaign-as-a-service API:
 //
 //	rhvpp serve -preset golden -store /var/cache/rhvpp
@@ -35,7 +52,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight campaign computations")
 		preset   = fs.String("preset", "", "campaign preset the base options come from: default, paper, or golden")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := optparse.ParseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
@@ -57,7 +74,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	srv := server.New(server.Config{Base: o, Store: st})
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := httpServer(srv.Handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

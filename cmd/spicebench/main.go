@@ -47,11 +47,10 @@ type Snapshot struct {
 	AdaptiveQuiescentReduction float64 `json:"adaptive_quiescent_step_reduction"`
 
 	// Monte-Carlo campaign throughput at 2.0 V, ±5% variation. The jobs1
-	// figure runs the default adaptive engine (which batches
-	// spice.DefaultBatchWidth lanes in lockstep); the fixed-grid variant is
-	// the A/B at the same worker count (2.0 V has a short quiescent tail,
-	// so the adaptive win concentrates in the lower-VPP levels that
-	// dominate the real sweep — see mc_agg_runs_per_sec).
+	// figure runs the default adaptive engine (best-of-3); the fixed-grid
+	// variant is the A/B at the same worker count (2.0 V has a short
+	// quiescent tail, so the adaptive win concentrates in the lower-VPP
+	// levels that dominate the real sweep — see mc_agg_runs_per_sec).
 	MCRunsPerSecReference  float64 `json:"mc_runs_per_sec_serial_reference"`
 	MCRunsPerSecJobs1Fixed float64 `json:"mc_runs_per_sec_jobs1_fixed_grid"`
 	MCRunsPerSecJobs1      float64 `json:"mc_runs_per_sec_jobs1"`
@@ -59,17 +58,6 @@ type Snapshot struct {
 	MCJobs                 int     `json:"mc_jobs"`
 	MCSpeedupJobs1         float64 `json:"mc_speedup_jobs1_vs_reference"`
 	MCSpeedupJobs          float64 `json:"mc_speedup_jobs_vs_reference"`
-
-	// Batched lockstep engine A/B at one worker: the explicit
-	// default-width lockstep path vs the scalar path (BatchWidth 1), both
-	// best-of-3 so a single scheduler stall cannot invert the ratio, plus a
-	// width sweep over the power-of-two lane counts. Lanes replicate the
-	// scalar float-op sequence bit-for-bit, so these differ only in
-	// throughput, never in output.
-	MCRunsPerSecJobs1Batched float64      `json:"mc_runs_per_sec_jobs1_batched"`
-	MCRunsPerSecJobs1Scalar  float64      `json:"mc_runs_per_sec_jobs1_scalar"`
-	MCBatchSpeedupVsScalar   float64      `json:"mc_batch_speedup_vs_scalar"`
-	MCBatchWidthSweep        []widthPoint `json:"mc_batch_width_sweep,omitempty"`
 
 	// Full Fig. 8b/9b-style aggregate: one global run queue across a VPP
 	// sweep, streaming aggregation, per-worker workspace reuse. BytesPerRun
@@ -195,23 +183,6 @@ func measure(runs, jobs int) (Snapshot, error) {
 	snap.MCRunsPerSecJobs = many
 	snap.MCSpeedupJobs1 = ratio(one, ref)
 	snap.MCSpeedupJobs = ratio(many, ref)
-
-	snap.MCRunsPerSecJobs1Batched, err = bestOf(3, spice.MCConfig{Runs: runs, Jobs: 1, BatchWidth: spice.DefaultBatchWidth})
-	if err != nil {
-		return snap, err
-	}
-	snap.MCRunsPerSecJobs1Scalar, err = bestOf(3, spice.MCConfig{Runs: runs, Jobs: 1, BatchWidth: 1})
-	if err != nil {
-		return snap, err
-	}
-	snap.MCBatchSpeedupVsScalar = ratio(snap.MCRunsPerSecJobs1Batched, snap.MCRunsPerSecJobs1Scalar)
-	for _, w := range []int{1, 2, 4, 8, 16} {
-		rate, err := bestOf(2, spice.MCConfig{Runs: runs, Jobs: 1, BatchWidth: w})
-		if err != nil {
-			return snap, err
-		}
-		snap.MCBatchWidthSweep = append(snap.MCBatchWidthSweep, widthPoint{Width: w, RunsPerSec: rate})
-	}
 
 	aggRate, aggBytes, levels, err := mcAggregate(runs, jobs)
 	if err != nil {
@@ -339,15 +310,9 @@ func adaptiveReduction() (overall, quiescent float64, err error) {
 		ratio(float64(coarseCells), float64(coarseSolves)), nil
 }
 
-// widthPoint is one lane-count sample of the batch-width sweep.
-type widthPoint struct {
-	Width      int     `json:"width"`
-	RunsPerSec float64 `json:"runs_per_sec"`
-}
-
-// bestOf returns the fastest of n mcThroughput measurements: batch-vs-scalar
-// is a ratio of two ~second-long wall-clock timings, and on a busy machine a
-// single descheduling stall in either leg would dominate the comparison.
+// bestOf returns the fastest of n mcThroughput measurements: on a busy
+// machine a single descheduling stall would otherwise dominate a
+// ~second-long wall-clock timing.
 func bestOf(n int, cfg spice.MCConfig) (float64, error) {
 	best := 0.0
 	for i := 0; i < n; i++ {

@@ -8,7 +8,6 @@ import (
 
 	"github.com/dramstudy/rhvpp/internal/core"
 	"github.com/dramstudy/rhvpp/internal/physics"
-	"github.com/dramstudy/rhvpp/internal/spice"
 )
 
 // Options scales the experiment campaign. The paper's full scale (272 chips,
@@ -60,13 +59,6 @@ type Options struct {
 	// default loosen the fixed-grid-equivalence guarantee; see
 	// docs/ARCHITECTURE.md for the accuracy contract.
 	SpiceLTETolV float64 `json:",omitempty"`
-	// SpiceBatchWidth sets how many Monte-Carlo runs the SPICE engine
-	// advances in lockstep per worker (0 = the engine default, 1 = the
-	// scalar path, up to spice.MaxBatchWidth). Every width produces
-	// byte-identical campaign output — lanes replicate the scalar engine's
-	// float-op sequence exactly — so this is a throughput knob, excluded
-	// from the canonical options fingerprint like Jobs.
-	SpiceBatchWidth int `json:",omitempty"`
 }
 
 // Default returns a laptop-scale campaign preserving the paper's structure.
@@ -110,16 +102,29 @@ func KnownModuleNames() []string {
 // (every entry of ModuleNames must be a Table 3 label, with no duplicates)
 // or misread their own knobs: a negative Jobs is an error — it is neither
 // "serial" (that is 1) nor "one per CPU" (that is 0), so accepting it would
-// quietly run a configuration the caller never asked for.
+// quietly run a configuration the caller never asked for. Likewise a
+// negative campaign size (SpiceMCRuns, Chunks, RowsPerChunk) or VPPStride
+// describes no campaign at all; accepting it would run some other one under
+// a fingerprint of its own.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: Jobs %d is negative (use 0 for one worker per CPU, or a positive worker count)", o.Jobs)
 	}
+	for _, f := range []struct {
+		name, accepted string
+		v              int
+	}{
+		{"Chunks", "0 or more row chunks per module", o.Chunks},
+		{"RowsPerChunk", "0 or more rows per chunk", o.RowsPerChunk},
+		{"VPPStride", "0 or more; 0 and 1 both sweep every 0.1 V level", o.VPPStride},
+		{"SpiceMCRuns", "0 or more Monte-Carlo runs per VPP level", o.SpiceMCRuns},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("experiments: %s %d is negative (accepted range: %s)", f.name, f.v, f.accepted)
+		}
+	}
 	if o.SpiceLTETolV < 0 {
 		return fmt.Errorf("experiments: SpiceLTETolV %g is negative (use 0 for the engine default, or a positive tolerance in volts)", o.SpiceLTETolV)
-	}
-	if o.SpiceBatchWidth < 0 || o.SpiceBatchWidth > spice.MaxBatchWidth {
-		return fmt.Errorf("experiments: SpiceBatchWidth %d is outside [0, %d] (use 0 for the engine default, 1 for the scalar path)", o.SpiceBatchWidth, spice.MaxBatchWidth)
 	}
 	_, err := o.profiles()
 	return err

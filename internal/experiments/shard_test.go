@@ -275,6 +275,44 @@ func TestValidateRejectsNegativeJobs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeSizes covers the campaign-size knobs: a negative
+// value is rejected with an error naming the field, the value and the
+// accepted range, while zero (the smallest accepted value) and the presets'
+// own values pass.
+func TestValidateRejectsNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Options, int)
+	}{
+		{"SpiceMCRuns", func(o *Options, v int) { o.SpiceMCRuns = v }},
+		{"Chunks", func(o *Options, v int) { o.Chunks = v }},
+		{"RowsPerChunk", func(o *Options, v int) { o.RowsPerChunk = v }},
+		{"VPPStride", func(o *Options, v int) { o.VPPStride = v }},
+	} {
+		o := shardOptions()
+		tc.set(&o, -5)
+		err := o.Validate()
+		if err == nil {
+			t.Errorf("%s=-5 accepted", tc.field)
+			continue
+		}
+		for _, want := range []string{tc.field + " -5", "accepted range: 0 or more"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s=-5: error %q does not contain %q", tc.field, err, want)
+			}
+		}
+		tc.set(&o, 0)
+		if err := o.Validate(); err != nil {
+			t.Errorf("%s=0 rejected: %v", tc.field, err)
+		}
+	}
+	for _, o := range []Options{Default(), Paper()} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("preset rejected: %v", err)
+		}
+	}
+}
+
 // TestMCLevelKeysUnique guards the unit-key encoding: every sweep level must
 // format to a distinct key, or artifact units would collide.
 func TestMCLevelKeysUnique(t *testing.T) {

@@ -7,8 +7,9 @@
 // campaign, and an invalid value is rejected with the same words everywhere.
 //
 // Overrides never validates the resulting campaign; it only parses and
-// applies. Semantic rejection (negative jobs, unknown module names) stays
-// with Options.Validate so every surface reports those errors identically.
+// applies. Semantic rejection (negative sizes or jobs, unknown module names)
+// stays with Options.Validate so every surface reports those errors
+// identically.
 package optparse
 
 import (
@@ -22,24 +23,23 @@ import (
 
 // Overrides holds parsed campaign knobs plus enough set-tracking to apply
 // them with only-when-set semantics. The zero value overrides nothing.
+// Numeric knobs apply when != 0: negative values pass through for
+// Options.Validate to reject with its canonical message.
 type Overrides struct {
 	// Modules is the comma-separated module subset ("" = preset's set).
 	Modules string
-	// Rows overrides RowsPerChunk when > 0.
+	// Rows overrides RowsPerChunk.
 	Rows int
-	// Chunks overrides Options.Chunks when > 0.
+	// Chunks overrides Options.Chunks.
 	Chunks int
-	// Seed overrides the simulation seed when != 0.
+	// Seed overrides the simulation seed.
 	Seed uint64
-	// Stride overrides VPPStride when > 0.
+	// Stride overrides VPPStride.
 	Stride int
-	// MCRuns overrides SpiceMCRuns when > 0.
+	// MCRuns overrides SpiceMCRuns.
 	MCRuns int
-	// LTETolV overrides SpiceLTETolV when != 0 (negative values pass
-	// through for Validate to reject with its canonical message).
+	// LTETolV overrides SpiceLTETolV.
 	LTETolV float64
-	// BatchWidth overrides SpiceBatchWidth when != 0.
-	BatchWidth int
 	// FixedGrid switches the SPICE Monte-Carlo to the fixed grid when true.
 	FixedGrid bool
 	// Jobs overrides Options.Jobs when JobsSet is true. Jobs is the one
@@ -54,7 +54,7 @@ type Overrides struct {
 // same names the CLI registers as flags.
 var knobNames = []string{
 	"modules", "rows", "chunks", "seed", "stride", "mc",
-	"ltetol", "batch", "fixed-grid", "jobs",
+	"ltetol", "fixed-grid", "jobs",
 }
 
 // Known returns the knob names Set accepts, in presentation order.
@@ -94,8 +94,6 @@ func (ov *Overrides) Set(name, value string) error {
 		}
 		ov.LTETolV = f
 		return nil
-	case "batch":
-		return setInt(&ov.BatchWidth, value, badValue)
 	case "fixed-grid":
 		b, err := strconv.ParseBool(value)
 		if err != nil {
@@ -110,6 +108,10 @@ func (ov *Overrides) Set(name, value string) error {
 		ov.JobsSet = true
 		return nil
 	}
+	return unknownOption(name)
+}
+
+func unknownOption(name string) error {
 	return fmt.Errorf("unknown option %q (known: %s)", name, strings.Join(knobNames, ", "))
 }
 
@@ -128,26 +130,23 @@ func (ov Overrides) Apply(o *experiments.Options) {
 	if ov.Modules != "" {
 		o.ModuleNames = strings.Split(ov.Modules, ",")
 	}
-	if ov.Rows > 0 {
+	if ov.Rows != 0 {
 		o.RowsPerChunk = ov.Rows
 	}
-	if ov.Chunks > 0 {
+	if ov.Chunks != 0 {
 		o.Chunks = ov.Chunks
 	}
 	if ov.Seed != 0 {
 		o.Seed = ov.Seed
 	}
-	if ov.Stride > 0 {
+	if ov.Stride != 0 {
 		o.VPPStride = ov.Stride
 	}
-	if ov.MCRuns > 0 {
+	if ov.MCRuns != 0 {
 		o.SpiceMCRuns = ov.MCRuns
 	}
 	if ov.LTETolV != 0 {
-		o.SpiceLTETolV = ov.LTETolV // negative rejected by Options.Validate
-	}
-	if ov.BatchWidth != 0 {
-		o.SpiceBatchWidth = ov.BatchWidth // out-of-range rejected by Options.Validate
+		o.SpiceLTETolV = ov.LTETolV
 	}
 	if ov.FixedGrid {
 		o.SpiceFixedGrid = true
@@ -169,9 +168,23 @@ func (ov *Overrides) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&ov.Stride, "stride", 0, "VPP sweep stride (1 = every 0.1V level)")
 	fs.IntVar(&ov.MCRuns, "mc", 0, "SPICE Monte-Carlo runs per voltage (0 = default)")
 	fs.Float64Var(&ov.LTETolV, "ltetol", 0, "adaptive SPICE step-doubling error tolerance in volts (0 = engine default; beyond the default the fixed-grid crossing equivalence is best-effort)")
-	fs.IntVar(&ov.BatchWidth, "batch", 0, "SPICE Monte-Carlo lockstep lanes per worker (0 = engine default, 1 = scalar; output is byte-identical at every width)")
 	fs.BoolVar(&ov.FixedGrid, "fixed-grid", false, "integrate the SPICE Monte-Carlo on the historical fixed 25 ps grid (disables adaptive stepping)")
 	fs.Var(jobsFlag{ov}, "jobs", "concurrent module sweeps (0 = one per CPU)")
+}
+
+// ParseFlags parses args into fs (whose knobs Flags registered) and reports
+// an undefined flag with the same unknown-option error Set gives an unknown
+// query parameter, so e.g. `-rowz 5` and `?rowz=5` read identically.
+func ParseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil {
+		return nil
+	}
+	// The flag package reports undefined flags only by this message.
+	if name, ok := strings.CutPrefix(err.Error(), "flag provided but not defined: -"); ok {
+		return unknownOption(name)
+	}
+	return err
 }
 
 // jobsFlag adapts the Jobs knob to flag.Value so a -jobs occurrence flips

@@ -31,8 +31,7 @@ func TestSetAppliesOnlyWhatWasSet(t *testing.T) {
 	}
 	// Everything unset keeps the preset's value.
 	if o.Chunks != base.Chunks || o.VPPStride != base.VPPStride ||
-		o.SpiceLTETolV != base.SpiceLTETolV || o.SpiceBatchWidth != base.SpiceBatchWidth ||
-		o.Jobs != base.Jobs {
+		o.SpiceLTETolV != base.SpiceLTETolV || o.Jobs != base.Jobs {
 		t.Errorf("unset knobs drifted from preset: %+v", o)
 	}
 }
@@ -100,7 +99,7 @@ func TestFlagsMatchSetSemantics(t *testing.T) {
 	fromFlags.Flags(fs)
 	if err := fs.Parse([]string{
 		"-modules", "B3", "-rows", "4", "-chunks", "1", "-seed", "9",
-		"-stride", "2", "-mc", "10", "-ltetol", "0.002", "-batch", "4",
+		"-stride", "2", "-mc", "10", "-ltetol", "0.002",
 		"-fixed-grid", "-jobs", "2",
 	}); err != nil {
 		t.Fatal(err)
@@ -108,7 +107,7 @@ func TestFlagsMatchSetSemantics(t *testing.T) {
 	var fromSet Overrides
 	for _, kv := range [][2]string{
 		{"modules", "B3"}, {"rows", "4"}, {"chunks", "1"}, {"seed", "9"},
-		{"stride", "2"}, {"mc", "10"}, {"ltetol", "0.002"}, {"batch", "4"},
+		{"stride", "2"}, {"mc", "10"}, {"ltetol", "0.002"},
 		{"fixed-grid", "true"}, {"jobs", "2"},
 	} {
 		if err := fromSet.Set(kv[0], kv[1]); err != nil {

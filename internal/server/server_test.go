@@ -408,6 +408,14 @@ func TestQueryOptionsErrors(t *testing.T) {
 	badJobs.Jobs = -1
 	badModules := tinyOptions()
 	badModules.ModuleNames = []string{"ZZ"}
+	badMC := tinyOptions()
+	badMC.SpiceMCRuns = -5
+	badChunks := tinyOptions()
+	badChunks.Chunks = -3
+	badRows := tinyOptions()
+	badRows.RowsPerChunk = -1
+	badStride := tinyOptions()
+	badStride.VPPStride = -2
 	_, unknownExpErr := rhvpp.LookupExperiment("nope")
 	_, unknownPresetErr := rhvpp.PresetOptions("bogus")
 	_, badFormatErr := rhvpp.NewEncoder(rhvpp.Format("yaml"), io.Discard)
@@ -417,9 +425,14 @@ func TestQueryOptionsErrors(t *testing.T) {
 		{"negative jobs", "/v1/experiments/table3?jobs=-1", badJobs.Validate().Error()},
 		{"unknown experiment", "/v1/experiments/nope", unknownExpErr.Error()},
 		{"unknown module", "/v1/experiments/table3?modules=ZZ", badModules.Validate().Error()},
+		{"negative mc", "/v1/experiments/fig8b?mc=-5", badMC.Validate().Error()},
+		{"negative chunks", "/v1/experiments/table3?chunks=-3", badChunks.Validate().Error()},
+		{"negative rows", "/v1/experiments/table3?rows=-1", badRows.Validate().Error()},
+		{"negative stride", "/v1/experiments/table3?stride=-2", badStride.Validate().Error()},
 		{"unknown format", "/v1/experiments/table3?format=yaml", badFormatErr.Error()},
 		{"unknown preset", "/v1/experiments/table3?preset=bogus", unknownPresetErr.Error()},
-		{"unknown knob", "/v1/experiments/table3?rowz=5", `unknown option "rowz" (known: modules, rows, chunks, seed, stride, mc, ltetol, batch, fixed-grid, jobs)`},
+		{"unknown knob", "/v1/experiments/table3?rowz=5", `unknown option "rowz" (known: modules, rows, chunks, seed, stride, mc, ltetol, fixed-grid, jobs)`},
+		{"retired batch knob", "/v1/experiments/table3?batch=4", `unknown option "batch" (known: modules, rows, chunks, seed, stride, mc, ltetol, fixed-grid, jobs)`},
 		{"unparseable knob", "/v1/experiments/table3?rows=eight", ""},
 	} {
 		code, body, _ := get(t, hs.URL+tc.url)
@@ -536,14 +549,14 @@ func TestSessionCacheEvictsFIFO(t *testing.T) {
 }
 
 // TestExecutionShapeKnobsShareOneFlight pins the fingerprint contract at the
-// serving layer: jobs= and batch= shape execution, not results, so requests
-// differing only in those knobs collapse onto one computation.
+// serving layer: jobs= shapes execution, not results, so requests differing
+// only in the worker count collapse onto one computation.
 func TestExecutionShapeKnobsShareOneFlight(t *testing.T) {
 	g := newGatedCompute()
 	close(g.release)
 	srv, hs := newTestServer(t, Config{Base: tinyOptions(), Compute: g.fn})
 	var fps [3]string
-	for i, q := range []string{"", "?jobs=2", "?batch=4"} {
+	for i, q := range []string{"", "?jobs=2", "?jobs=1"} {
 		code, body, hdr := get(t, hs.URL+"/v1/experiments/table1"+q)
 		if code != http.StatusOK {
 			t.Fatalf("query %q: status %d: %s", q, code, body)
@@ -551,7 +564,7 @@ func TestExecutionShapeKnobsShareOneFlight(t *testing.T) {
 		fps[i] = hdr.Get("X-Rhvpp-Fingerprint")
 	}
 	if fps[1] != fps[0] || fps[2] != fps[0] {
-		t.Errorf("execution-shape knobs changed the fingerprint: %v", fps)
+		t.Errorf("the worker count changed the fingerprint: %v", fps)
 	}
 	if st := srv.Stats(); st.Computations != 1 || st.MemHits != 2 {
 		t.Errorf("stats %+v, want 1 computation and 2 memory hits", st)

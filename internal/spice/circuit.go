@@ -355,7 +355,7 @@ func abs(x float64) float64 {
 // the same pristine inputs, which reproduces the identical elimination
 // prefix and then handles the pivot exactly as solveDense always has.
 //
-//detlint:hotpath witness=TestBatchStepAllocsFree
+//detlint:hotpath witness=TestWorkspaceSimulateAllocs
 func cell6Iter(gStatic, zStep, newt, vdrv []float64, plans []mosPlan, mos []*MOSParams) (maxDelta float64, ok bool) {
 	a := *(*[36]float64)(gStatic)
 	z := *(*[6]float64)(zStep)

@@ -89,9 +89,8 @@ func (p MOSParams) stamp(vd, vg, vs float64) (id, gdd, gdg, gds float64) {
 	return mosStamp(&p, vd, vg, vs)
 }
 
-// mosStamp is stamp without the value-receiver copy: the reduced and
-// batched Newton loops call it directly with a pointer into the element
-// slice, which saves copying the parameter struct five times per iteration.
+// mosStamp is stamp without the value-receiver copy: the reduced Newton
+// loop calls it directly with a pointer into the element slice, which saves copying the parameter struct five times per iteration.
 // cell6Iter carries a hand-inlined copy of this body (the compiler's inline
 // budget rejects it); any model change here must be mirrored there.
 func mosStamp(p *MOSParams, vd, vg, vs float64) (id, gdd, gdg, gds float64) {

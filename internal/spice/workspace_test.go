@@ -52,7 +52,9 @@ func TestWorkspaceMatchesFreshSimulation(t *testing.T) {
 // TestWorkspaceSimulateAllocs is the satellite acceptance check for
 // workspace reuse: re-stamping varied parameters instead of rebuilding the
 // MNA system per run must eliminate steady-state allocations, by orders of
-// magnitude compared to the one-shot path.
+// magnitude compared to the one-shot path. It is also the allocation
+// witness for the fused cell-pattern Newton iteration (cell6Iter), which
+// every Monte-Carlo run of the Table 2 netlist takes.
 func TestWorkspaceSimulateAllocs(t *testing.T) {
 	ws := NewWorkspace()
 	root := rng.New(3).Derive("ws-allocs")
@@ -62,6 +64,9 @@ func TestWorkspaceSimulateAllocs(t *testing.T) {
 	}
 	if _, err := ws.Simulate(params[0], nil); err != nil { // build the netlist
 		t.Fatal(err)
+	}
+	if !ws.tr.red.cell6 {
+		t.Fatal("the Table 2 netlist no longer takes the cell6Iter path")
 	}
 	i := 0
 	reused := testing.AllocsPerRun(6, func() {

@@ -138,9 +138,9 @@ func RunShardObserved(ctx context.Context, o Options, shard, of int, units []Wor
 // of the canonical options encoding, in lowercase hex. It is the
 // content-address of a campaign — shard artifacts embed the same canonical
 // encoding, and the artifact store keys completed studies by this digest.
-// Execution-shape knobs (Jobs, SpiceBatchWidth) are excluded exactly as they
-// are from shard artifacts, so requests differing only in worker count or
-// lane width share one fingerprint, one computation, and one store entry.
+// The execution-shape knob Jobs is excluded exactly as it is from shard
+// artifacts, so requests differing only in worker count share one
+// fingerprint, one computation, and one store entry.
 func OptionsFingerprint(o Options) (string, error) {
 	raw, err := canonicalOptions(o)
 	if err != nil {

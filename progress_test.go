@@ -91,10 +91,26 @@ func TestProgressHookObservesWithoutChangingOutput(t *testing.T) {
 }
 
 // TestOptionsFingerprintContract pins the fingerprint to the canonical
-// options encoding: result-shaping knobs move it, execution-shape knobs
-// (Jobs, SpiceBatchWidth) do not, and its value is the SHA-256 of the same
-// canonical bytes shard artifacts embed.
+// options encoding: result-shaping knobs move it, the execution-shape knob
+// Jobs does not, and its value is the SHA-256 of the same canonical bytes
+// shard artifacts embed. The preset fingerprints are pinned as literals, so
+// store entries and shard artifacts written by earlier binaries keep hitting
+// and merging: a change to the canonical encoding of an unchanged campaign
+// fails here.
 func TestOptionsFingerprintContract(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"golden", GoldenOptions(), "b4d072b0aa045c01ec7e24e51383d3ef02a8dc8e3556dfa8325d2e3c1302726d"},
+		{"default", DefaultOptions(), "08deb88b962a75559a1bc74b2073f803f2bebd0538e7f2a8c500cb6811de8a23"},
+	} {
+		if got, err := OptionsFingerprint(tc.o); err != nil || got != tc.want {
+			t.Errorf("%s preset fingerprint = %s, %v; want %s", tc.name, got, err, tc.want)
+		}
+	}
+
 	o := campaignOptions("B3")
 	fp, err := OptionsFingerprint(o)
 	if err != nil {
@@ -111,9 +127,8 @@ func TestOptionsFingerprintContract(t *testing.T) {
 
 	shaped := o
 	shaped.Jobs = 7
-	shaped.SpiceBatchWidth = 4
 	if fp2, _ := OptionsFingerprint(shaped); fp2 != fp {
-		t.Error("execution-shape knobs moved the fingerprint")
+		t.Error("the execution-shape knob Jobs moved the fingerprint")
 	}
 	different := o
 	different.Seed++

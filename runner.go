@@ -318,15 +318,10 @@ func ShardUnits(units []WorkUnit, shard, of int) ([]WorkUnit, error) {
 // canonicalOptions is the options fingerprint embedded in artifacts.
 // Execution-irrelevant knobs are excluded: Jobs changes only how fast a
 // shard runs, never what it measures, so shards produced at different
-// worker counts merge freely. SpiceBatchWidth is the same kind of knob —
-// every lane of the batched engine replicates the scalar float-op sequence
-// bit-for-bit (see internal/spice/batch.go), so shards produced at
-// different widths are byte-identical and merge freely too.
+// worker counts merge freely.
 func canonicalOptions(o Options) (json.RawMessage, error) {
 	//detlint:execshape Jobs only splits the worker budget; every unit computes the same bytes at any count
 	o.Jobs = 0
-	//detlint:execshape SpiceBatchWidth only picks the lane count; each lane replicates the scalar float-op order bit-for-bit
-	o.SpiceBatchWidth = 0
 	raw, err := json.Marshal(o)
 	if err != nil {
 		return nil, fmt.Errorf("rhvpp: encoding options: %w", err)

@@ -318,9 +318,9 @@ func TestRunShardHonorsCancellation(t *testing.T) {
 
 // TestShardArtifactsMergeAcrossOptionsGrowth pins the omitempty contract
 // behind the //detlint:fingerprint v1 freeze: an artifact encoded by a
-// binary predating the post-v1 knobs (SpiceFixedGrid, SpiceLTETolV,
-// SpiceBatchWidth) must still merge with one encoded today, because those
-// fields vanish from the canonical encoding at their zero values. A
+// binary predating the post-v1 knobs (SpiceFixedGrid, SpiceLTETolV) must
+// still merge with one encoded today, because those fields vanish from the
+// canonical encoding at their zero values. A
 // non-default post-v1 knob that changes the measurement is a genuine
 // fingerprint difference and must refuse to merge.
 func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
