@@ -92,6 +92,8 @@ type Module struct {
 
 	banks []bankState
 	trr   trrDefense
+
+	trcdFlips []int32 // reused by read for each burst's tRCD flips
 }
 
 // Option configures a Module.
@@ -118,7 +120,8 @@ func WithScheme(s mapping.Scheme) Option {
 
 // NewModule builds a simulated module for the given profile. The seed
 // selects the device instance (two modules with the same profile and seed
-// are indistinguishable).
+// are indistinguishable). Like physics.NewDeviceModel, it panics on a
+// geometry that fails Geometry.Validate.
 func NewModule(prof physics.ModuleProfile, geom physics.Geometry, seed uint64, opts ...Option) *Module {
 	m := &Module{
 		model:  physics.NewDeviceModel(prof, geom, seed),
@@ -301,7 +304,25 @@ func (m *Module) Precharge(t PS, bankIdx int) error {
 // activation-timing violations (if the read happens sooner after ACT than
 // the row's tRCD requirement at the current VPP).
 func (m *Module) Read(t PS, bankIdx, col int) ([]byte, error) {
-	if err := m.checkTime(t); err != nil {
+	return m.read(t, 0, bankIdx, col, 1)
+}
+
+// ReadRow streams every column burst of the open row of a bank, column c at
+// time t0 + c·step, and returns the row image in column order. The bytes and
+// the device state it leaves are exactly those of one Read per column at
+// those times; the row-level physics is resolved once per call instead of
+// once per column. step must not be negative.
+func (m *Module) ReadRow(t0, step PS, bankIdx int) ([]byte, error) {
+	return m.read(t0, step, bankIdx, 0, m.geom.Columns())
+}
+
+// read is the one read path behind Read and ReadRow: ncols column bursts
+// starting at column col0, the i-th issued at t0 + i·step.
+func (m *Module) read(t0, step PS, bankIdx, col0, ncols int) ([]byte, error) {
+	if step < 0 {
+		return nil, fmt.Errorf("%w: column step %d", ErrTimeRegression, step)
+	}
+	if err := m.checkTime(t0); err != nil {
 		return nil, err
 	}
 	bk, err := m.bank(bankIdx)
@@ -311,51 +332,116 @@ func (m *Module) Read(t PS, bankIdx, col int) ([]byte, error) {
 	if bk.openRow < 0 {
 		return nil, ErrBankClosed
 	}
-	if col < 0 || col >= m.geom.Columns() {
-		return nil, fmt.Errorf("%w: column %d", ErrBadAddress, col)
+	if col0 < 0 || col0+ncols > m.geom.Columns() {
+		return nil, fmt.Errorf("%w: column %d", ErrBadAddress, col0)
 	}
+	m.now = t0 + PS(ncols-1)*step
 	phys := bk.openRow
 	rs := bk.row(phys)
 
-	out := make([]byte, BurstBytes)
+	sp := span{out: make([]byte, ncols*BurstBytes), base: int32(col0 * BurstBytes * 8), t0: t0, step: step}
 	if rs.data != nil {
-		copy(out, rs.data[col*BurstBytes:(col+1)*BurstBytes])
-	}
-
-	base := int32(col * BurstBytes * 8)
-	limit := base + int32(BurstBytes*8)
-	applyFlips := func(positions []int32) {
-		for _, pos := range positions {
-			if pos >= base && pos < limit {
-				rel := pos - base
-				out[rel/8] ^= 1 << uint(rel%8)
-			}
-		}
+		copy(sp.out, rs.data[col0*BurstBytes:])
 	}
 
 	// RowHammer flips from accumulated neighbor activations.
 	if hcEq := rs.doubleSidedEquivalent(); hcEq > 0 {
 		pat := m.dominantPattern(rs)
-		n := m.model.HammerFlipCount(bankIdx, phys, pat, m.vpp, hcEq, m.tempC, rs.writeEpoch)
-		if n > 0 {
-			applyFlips(m.model.HammerFlipPositions(bankIdx, phys, n))
+		if n := m.model.HammerFlipCount(bankIdx, phys, pat, m.vpp, hcEq, m.tempC, rs.writeEpoch); n > 0 {
+			for _, pos := range m.model.HammerFlipPositions(bankIdx, phys, n) {
+				sp.flip(pos)
+			}
 		}
 	}
 
 	// Retention flips from unrefreshed time.
 	if rs.data != nil {
-		elapsedMS := float64(t-rs.lastWrite) / float64(PSPerMS)
-		if flips := m.model.RetentionFlipPositions(bankIdx, phys, m.vpp, elapsedMS, m.tempC, rs.writeEpoch); len(flips) > 0 {
-			applyFlips(flips)
-		}
+		m.readRetention(&sp, bankIdx, phys, rs)
 	}
 
-	// Activation-timing violations.
-	trcdNS := float64(t-bk.openedAt) / float64(PSPerNS)
-	if flips := m.model.TRCDFlipPositions(bankIdx, phys, col, trcdNS, m.vpp, rs.writeEpoch); len(flips) > 0 {
-		applyFlips(flips)
+	// Activation-timing violations, each column at its own latency.
+	trcd := m.model.RowTRCD(bankIdx, phys, m.vpp, rs.writeEpoch)
+	for i := 0; i < ncols; i++ {
+		trcdNS := float64(sp.at(i)-bk.openedAt) / float64(PSPerNS)
+		m.trcdFlips = trcd.AppendFlips(m.trcdFlips[:0], col0+i, trcdNS)
+		for _, pos := range m.trcdFlips {
+			sp.flip(pos)
+		}
 	}
-	return out, nil
+	return sp.out, nil
+}
+
+// span is the image of consecutive column bursts being read.
+type span struct {
+	out      []byte
+	base     int32 // row-relative bit position of out's first bit
+	t0, step PS    // read time of the first burst, and between bursts
+}
+
+// at returns the read time of the span's i-th burst.
+func (sp *span) at(i int) PS { return sp.t0 + PS(i)*sp.step }
+
+// column returns the span-relative burst holding a row-relative bit
+// position, or -1 when the span does not cover it.
+func (sp *span) column(pos int32) int {
+	rel := pos - sp.base
+	if rel < 0 || int(rel) >= len(sp.out)*8 {
+		return -1
+	}
+	return int(rel) / (BurstBytes * 8)
+}
+
+// flip inverts a row-relative bit position if the span covers it.
+func (sp *span) flip(pos int32) {
+	if rel := pos - sp.base; rel >= 0 && int(rel) < len(sp.out)*8 {
+		sp.out[rel/8] ^= 1 << uint(rel%8)
+	}
+}
+
+// readRetention applies the retention flips each burst of the span shows at
+// its own read time. The bulk failure count grows with elapsed time, so it is
+// evaluated at the first and last burst and per burst only when the two
+// differ; each weak cell is judged at its own burst's time.
+func (m *Module) readRetention(sp *span, bankIdx, phys int, rs *rowState) {
+	ncols := len(sp.out) / BurstBytes
+	elapsedMS := func(i int) float64 { return float64(sp.at(i)-rs.lastWrite) / float64(PSPerMS) }
+	if elapsedMS(ncols-1) <= 0 {
+		return
+	}
+	ret := m.model.RowRetention(bankIdx, phys, m.vpp, m.tempC, rs.writeEpoch)
+	first, last := ret.BulkCount(elapsedMS(0)), ret.BulkCount(elapsedMS(ncols-1))
+	var counts []int // per-burst bulk counts, when they differ across the span
+	if first == last {
+		for _, pos := range ret.BulkPositions(first) {
+			sp.flip(pos)
+		}
+	} else {
+		counts = make([]int, ncols)
+		most := 0
+		for i := range counts {
+			counts[i] = ret.BulkCount(elapsedMS(i))
+			most = max(most, counts[i])
+		}
+		for rank, pos := range ret.BulkPositions(most) {
+			if i := sp.column(pos); i >= 0 && rank < counts[i] {
+				sp.flip(pos)
+			}
+		}
+	}
+	for w := 0; w < ret.WeakCells(); w++ {
+		pos := ret.WeakPos(w)
+		i := sp.column(pos)
+		if i < 0 {
+			continue
+		}
+		count := first
+		if counts != nil {
+			count = counts[i]
+		}
+		if ret.WeakFlipped(w, elapsedMS(i), count) {
+			sp.flip(pos)
+		}
+	}
 }
 
 // doubleSidedEquivalent folds the per-side exposure counters into the

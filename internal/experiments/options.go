@@ -123,6 +123,9 @@ func (o Options) Validate() error {
 			return fmt.Errorf("experiments: %s %d is negative (accepted range: %s)", f.name, f.v, f.accepted)
 		}
 	}
+	if err := o.Geometry.Validate(); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
 	if o.SpiceLTETolV < 0 {
 		return fmt.Errorf("experiments: SpiceLTETolV %g is negative (use 0 for the engine default, or a positive tolerance in volts)", o.SpiceLTETolV)
 	}

@@ -313,6 +313,36 @@ func TestValidateRejectsNegativeSizes(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsInvalidGeometry: Validate rejects an unusable geometry
+// with an error naming the field, the value and the accepted range. A
+// 32-byte row (half a column burst) would otherwise panic with a slice
+// bounds error on the first row read.
+func TestValidateRejectsInvalidGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Options)
+		want  string
+	}{
+		{"RowBytes", func(o *Options) { o.Geometry.RowBytes = 32 }, "Geometry.RowBytes 32 is out of range (accepted range: 64 or more, a multiple of the 64-byte column burst)"},
+		{"RowBytes", func(o *Options) { o.Geometry.RowBytes = 100 }, "Geometry.RowBytes 100"},
+		{"Banks", func(o *Options) { o.Geometry.Banks = 0 }, "Geometry.Banks 0 is out of range (accepted range: 1 or more"},
+		{"RowsPerBank", func(o *Options) { o.Geometry.RowsPerBank = 0 }, "Geometry.RowsPerBank 0"},
+		{"SubarrayRows", func(o *Options) { o.Geometry.SubarrayRows = 0 }, "Geometry.SubarrayRows 0"},
+	} {
+		o := shardOptions()
+		tc.set(&o)
+		err := o.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.field, err, tc.want)
+		}
+	}
+	o := shardOptions()
+	o.Geometry.RowBytes = 64
+	if err := o.Validate(); err != nil {
+		t.Errorf("one-burst rows rejected: %v", err)
+	}
+}
+
 // TestMCLevelKeysUnique guards the unit-key encoding: every sweep level must
 // format to a distinct key, or artifact units would collide.
 func TestMCLevelKeysUnique(t *testing.T) {

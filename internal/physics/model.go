@@ -1,6 +1,7 @@
 package physics
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -52,8 +53,27 @@ func (g Geometry) Columns() int {
 }
 
 // Valid reports whether the geometry is usable.
-func (g Geometry) Valid() bool {
-	return g.Banks > 0 && g.RowsPerBank > 0 && g.RowBytes >= 64 && g.SubarrayRows > 1
+func (g Geometry) Valid() bool { return g.Validate() == nil }
+
+// Validate reports the first unusable field of the geometry, naming the
+// field, its value and the accepted range. Rows are read in 64-byte column
+// bursts, so RowBytes must be a whole number of them.
+func (g Geometry) Validate() error {
+	for _, f := range []struct {
+		name, accepted string
+		v              int
+		ok             bool
+	}{
+		{"Banks", "1 or more banks", g.Banks, g.Banks >= 1},
+		{"RowsPerBank", "1 or more rows per bank", g.RowsPerBank, g.RowsPerBank >= 1},
+		{"RowBytes", "64 or more, a multiple of the 64-byte column burst", g.RowBytes, g.RowBytes >= 64 && g.RowBytes%64 == 0},
+		{"SubarrayRows", "2 or more rows per subarray", g.SubarrayRows, g.SubarrayRows >= 2},
+	} {
+		if !f.ok {
+			return fmt.Errorf("Geometry.%s %d is out of range (accepted range: %s)", f.name, f.v, f.accepted)
+		}
+	}
+	return nil
 }
 
 // Model behavior constants. These encode the physical mechanisms of §2.3,
@@ -172,14 +192,17 @@ type rowParams struct {
 
 	retPermOnce sync.Once
 	retPerm     []int32 // weakest-first cell ordering for retention flips
+	weakRank    []int32 // index of each weak cell's position in retPerm
 }
 
 // NewDeviceModel builds the behavioral model for one module profile. The
 // seed determines every sampled quantity; models built with equal
-// (profile, geometry, seed) behave identically.
+// (profile, geometry, seed) behave identically. It panics with
+// Geometry.Validate's error on an unusable geometry: callers taking a
+// geometry from input validate it first.
 func NewDeviceModel(prof ModuleProfile, geom Geometry, seed uint64) *DeviceModel {
-	if !geom.Valid() {
-		geom = DefaultGeometry()
+	if err := geom.Validate(); err != nil {
+		panic("physics: " + err.Error())
 	}
 	m := &DeviceModel{
 		prof: prof,

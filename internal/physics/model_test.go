@@ -1,7 +1,9 @@
 package physics
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/pattern"
@@ -415,4 +417,53 @@ func TestTemperatureEffectMostlyIncreases(t *testing.T) {
 	if tot85 <= tot50 {
 		t.Errorf("aggregate flips at 85C (%d) not above 50C (%d)", tot85, tot50)
 	}
+}
+
+// TestGeometryValidateNamesField: an unusable geometry is rejected with an
+// error naming the field, its value and the accepted range — including a
+// row that is not a whole number of 64-byte column bursts, which would
+// otherwise panic on the first row read.
+func TestGeometryValidateNamesField(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Geometry)
+		want  string
+	}{
+		{"Banks", func(g *Geometry) { g.Banks = 0 }, "Geometry.Banks 0 is out of range (accepted range: 1 or more"},
+		{"RowsPerBank", func(g *Geometry) { g.RowsPerBank = -1 }, "Geometry.RowsPerBank -1 is out of range (accepted range: 1 or more"},
+		{"RowBytes", func(g *Geometry) { g.RowBytes = 32 }, "Geometry.RowBytes 32 is out of range (accepted range: 64 or more, a multiple of the 64-byte column burst)"},
+		{"RowBytes", func(g *Geometry) { g.RowBytes = 96 }, "Geometry.RowBytes 96 is out of range"},
+		{"SubarrayRows", func(g *Geometry) { g.SubarrayRows = 1 }, "Geometry.SubarrayRows 1 is out of range (accepted range: 2 or more"},
+	} {
+		g := testGeometry()
+		tc.set(&g)
+		err := g.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.field, err, tc.want)
+		}
+		if g.Valid() {
+			t.Errorf("%s: Valid() accepted %+v", tc.field, g)
+		}
+	}
+	for _, g := range []Geometry{testGeometry(), DefaultGeometry(), FullGeometry(), {Banks: 1, RowsPerBank: 1, RowBytes: 64, SubarrayRows: 2}} {
+		if err := g.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", g, err)
+		}
+	}
+}
+
+// TestNewDeviceModelRejectsInvalidGeometry: the model refuses an unusable
+// geometry with the validation error rather than substituting another one
+// (which would leave a module and its model disagreeing on the row size).
+func TestNewDeviceModelRejectsInvalidGeometry(t *testing.T) {
+	p, _ := ProfileByName("B3")
+	g := testGeometry()
+	g.RowBytes = 32
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "Geometry.RowBytes 32") {
+			t.Errorf("recovered %v, want a panic naming Geometry.RowBytes 32", r)
+		}
+	}()
+	NewDeviceModel(p, g, 1)
 }

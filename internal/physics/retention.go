@@ -217,36 +217,116 @@ func (m *DeviceModel) RetentionFlipPositions(bank, rowAddr int, vpp, elapsedMS, 
 	if elapsedMS <= 0 || vpp < m.prof.VPPMin-1e-9 {
 		return nil
 	}
-	rp := m.row(bank, rowAddr)
-	n := m.geom.RowBits()
-
-	noise := math.Exp(m.root.Derive("rnoise", bank, rowAddr, iter).Normal(0, 0.05))
-	p := m.retention.bulkProb(elapsedMS*noise, vpp, tempC, rp.retLambda)
-	count := int(p*float64(n) + rp.flipFrac)
-	if count > n {
-		count = n
-	}
-
+	r := m.RowRetention(bank, rowAddr, vpp, tempC, iter)
+	count := r.BulkCount(elapsedMS)
 	var out []int32
 	if count > 0 {
-		rp.retPermOnce.Do(func() {
-			rp.retPerm = m.cellPermutation("retperm", bank, rowAddr)
-		})
-		out = append(out, rp.retPerm[:count]...)
+		out = append(out, r.BulkPositions(count)...)
 	}
-	if len(rp.weak) > 0 {
-		seen := make(map[int32]bool, len(out))
-		for _, pos := range out {
-			seen[pos] = true
-		}
-		for _, c := range rp.weak {
-			if m.retention.weakFailed(c, elapsedMS, vpp, tempC) && !seen[c.pos] {
-				out = append(out, c.pos)
-				seen[c.pos] = true
-			}
+	for i := 0; i < r.WeakCells(); i++ {
+		if r.WeakFlipped(i, elapsedMS, count) {
+			out = append(out, r.WeakPos(i))
 		}
 	}
 	return out
+}
+
+// RowRetention is one row's retention state for one measurement iteration:
+// the row parameters and measurement noise resolved once, then queried at
+// any elapsed time. A whole-row read uses it to judge each column at its own
+// read time without re-deriving the row; RetentionFlipPositions is the
+// single-time query built on it.
+type RowRetention struct {
+	m          *DeviceModel
+	rp         *rowParams
+	bank, row  int
+	vpp, tempC float64
+	noise      float64 // multiplicative measurement noise on elapsed time
+}
+
+// RowRetention resolves a row's retention state at voltage vpp and die
+// temperature tempC for measurement iteration iter.
+func (m *DeviceModel) RowRetention(bank, rowAddr int, vpp, tempC float64, iter int) RowRetention {
+	return RowRetention{
+		m: m, rp: m.row(bank, rowAddr), bank: bank, row: rowAddr, vpp: vpp, tempC: tempC,
+		noise: math.Exp(m.root.Derive("rnoise", bank, rowAddr, iter).Normal(0, 0.05)),
+	}
+}
+
+// inactive reports whether no cell can have failed after elapsedMS.
+func (r *RowRetention) inactive(elapsedMS float64) bool {
+	return elapsedMS <= 0 || r.vpp < r.m.prof.VPPMin-1e-9
+}
+
+// BulkCount returns the number of bulk (non-weak) cells failed after
+// elapsedMS of unrefreshed time.
+func (r *RowRetention) BulkCount(elapsedMS float64) int {
+	if r.inactive(elapsedMS) {
+		return 0
+	}
+	n := r.m.geom.RowBits()
+	p := r.m.retention.bulkProb(elapsedMS*r.noise, r.vpp, r.tempC, r.rp.retLambda)
+	count := int(p*float64(n) + r.rp.flipFrac)
+	if count > n {
+		count = n
+	}
+	return count
+}
+
+// BulkPositions returns the bit positions of the first count bulk failures.
+// The order is weakest first, so a longer wait fails a superset.
+func (r *RowRetention) BulkPositions(count int) []int32 {
+	if count <= 0 {
+		return nil
+	}
+	r.m.retentionOrder(r.rp, r.bank, r.row)
+	return r.rp.retPerm[:count]
+}
+
+// WeakCells returns the number of engineered weak cells in the row.
+func (r *RowRetention) WeakCells() int { return len(r.rp.weak) }
+
+// WeakPos returns the bit position of weak cell i.
+func (r *RowRetention) WeakPos(i int) int32 { return r.rp.weak[i].pos }
+
+// WeakFlipped reports whether weak cell i reads flipped after elapsedMS
+// when bulkCount bulk cells have failed: it has failed and is not already
+// one of those bulk failures (a cell flips once, never twice).
+func (r *RowRetention) WeakFlipped(i int, elapsedMS float64, bulkCount int) bool {
+	if r.inactive(elapsedMS) || !r.m.retention.weakFailed(r.rp.weak[i], elapsedMS, r.vpp, r.tempC) {
+		return false
+	}
+	if bulkCount <= 0 {
+		return true
+	}
+	r.m.retentionOrder(r.rp, r.bank, r.row)
+	return int(r.rp.weakRank[i]) >= bulkCount
+}
+
+// retentionOrder samples, once per row, the weakest-first bulk failure order
+// and each weak cell's rank in it.
+func (m *DeviceModel) retentionOrder(rp *rowParams, bank, rowAddr int) {
+	rp.retPermOnce.Do(func() {
+		rp.retPerm = m.cellPermutation("retperm", bank, rowAddr)
+		if len(rp.weak) == 0 {
+			return
+		}
+		weakBits := make([]uint64, (len(rp.retPerm)+63)/64)
+		for _, c := range rp.weak {
+			weakBits[c.pos/64] |= 1 << uint(c.pos%64)
+		}
+		rp.weakRank = make([]int32, len(rp.weak))
+		for rank, pos := range rp.retPerm {
+			if weakBits[pos/64]&(1<<uint(pos%64)) == 0 {
+				continue
+			}
+			for i, c := range rp.weak {
+				if c.pos == pos {
+					rp.weakRank[i] = int32(rank)
+				}
+			}
+		}
+	})
 }
 
 // GroundTruthWeakCells returns the number of engineered weak cells in a row

@@ -263,3 +263,51 @@ func TestRetentionRhoMonotone(t *testing.T) {
 		prev = r
 	}
 }
+
+// TestRetentionFlipPositionsDedupWeakCells checks the weak-cell dedup
+// against the set-based definition: the flips are the first BulkCount cells
+// of the row's retention order plus each failed weak cell not already among
+// them, each exactly once. Long waits make weak cells bulk failures too.
+func TestRetentionFlipPositionsDedupWeakCells(t *testing.T) {
+	m := newTestModel(t, "B6")
+	v := m.Profile().VPPMin
+	checked, overlaps := 0, 0
+	for row := 0; row < 400; row++ {
+		if m.GroundTruthWeakCells(0, row) == 0 {
+			continue
+		}
+		for _, ms := range []float64{32, 64, 128, 4000, 64000, 512000} {
+			r := m.RowRetention(0, row, v, 80, 1)
+			count := r.BulkCount(ms)
+			want := map[int32]bool{}
+			for _, p := range r.BulkPositions(count) {
+				want[p] = true
+			}
+			rp := m.row(0, row)
+			for _, c := range rp.weak {
+				if !m.retention.weakFailed(c, ms, v, 80) {
+					continue
+				}
+				if want[c.pos] {
+					overlaps++
+				}
+				want[c.pos] = true
+			}
+			got := m.RetentionFlipPositions(0, row, v, ms, 80, 1)
+			seen := map[int32]bool{}
+			for _, p := range got {
+				if seen[p] || !want[p] {
+					t.Fatalf("row %d at %v ms: position %d repeated or not a failure", row, ms, p)
+				}
+				seen[p] = true
+			}
+			if len(seen) != len(want) {
+				t.Fatalf("row %d at %v ms: %d flips, want %d", row, ms, len(seen), len(want))
+			}
+			checked++
+		}
+	}
+	if checked == 0 || overlaps == 0 {
+		t.Errorf("checked %d reads with %d weak/bulk overlaps; want both > 0", checked, overlaps)
+	}
+}

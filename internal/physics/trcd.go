@@ -95,20 +95,20 @@ func (t trcdModel) rowReqNS(rowBase, rowScale, v float64) float64 {
 	return req
 }
 
+// maxNormAbs bounds |rng.Stream.NormFloat64()|. The polar method returns
+// u·sqrt(-2 ln q / q) with q = u² + v² in (0, 1) and |u| <= sqrt(q), so
+// |z| <= sqrt(-2 ln q), largest at the smallest q. u and v are
+// 2·Float64() - 1 on Float64's 2⁻⁵³ grid, i.e. multiples of 2⁻⁵², so the
+// smallest q is 2⁻¹⁰⁴ and |z| <= sqrt(-2 ln 2⁻¹⁰⁴) = sqrt(208 ln 2) ≈
+// 12.0069. The constant rounds that up, which also covers the few ulps of
+// rounding in evaluating the formula.
+const maxNormAbs = 12.01
+
 // ColumnTRCDReqNS returns the minimum reliable activation-to-read latency of
 // one column burst (ns) at voltage vpp for measurement iteration iter.
 func (m *DeviceModel) ColumnTRCDReqNS(bank, rowAddr, col int, vpp float64, iter int) float64 {
-	rp := m.row(bank, rowAddr)
-	req := m.trcd.rowReqNS(rp.trcdBase, rp.trcdScale, vpp)
-	// Per-column offset: one hash-selected worst column defines the row's
-	// requirement; others are faster by a deterministic jitter.
-	colStream := m.root.Derive("trcdcol", bank, rowAddr, col)
-	worst := m.root.Derive("trcdworst", bank, rowAddr).Intn(m.geom.Columns())
-	if col != worst {
-		req -= math.Abs(colStream.Normal(0, trcdColumnJitterNS))
-	}
-	req += m.root.Derive("trcditer", bank, rowAddr, col, iter).Normal(0, trcdIterNoiseNS)
-	return req
+	r := m.RowTRCD(bank, rowAddr, vpp, iter)
+	return r.ColumnReqNS(col)
 }
 
 // TRCDFlipPositions returns the bit positions (row-relative) corrupted when
@@ -116,28 +116,82 @@ func (m *DeviceModel) ColumnTRCDReqNS(bank, rowAddr, col int, vpp float64, iter 
 // that honors the column's requirement returns nil; a violation flips a
 // handful of the column's weakest bits, growing with the timing shortfall.
 func (m *DeviceModel) TRCDFlipPositions(bank, rowAddr, col int, trcdNS, vpp float64, iter int) []int32 {
-	req := m.ColumnTRCDReqNS(bank, rowAddr, col, vpp, iter)
+	r := m.RowTRCD(bank, rowAddr, vpp, iter)
+	return r.AppendFlips(nil, col, trcdNS)
+}
+
+// RowTRCD is one row's activation-latency state for one measurement
+// iteration: the row's worst-column requirement resolved once, then queried
+// per column. A whole-row read uses it to skip every per-column derivation
+// when its latency is safely above the requirement.
+type RowTRCD struct {
+	m               *DeviceModel
+	bank, row, iter int
+	reqNS           float64 // worst-column requirement before measurement noise
+	worst           int     // the row's worst column, or -1 until a column needs it
+}
+
+// RowTRCD resolves a row's activation-latency state at voltage vpp for
+// measurement iteration iter.
+func (m *DeviceModel) RowTRCD(bank, rowAddr int, vpp float64, iter int) RowTRCD {
+	rp := m.row(bank, rowAddr)
+	return RowTRCD{
+		m: m, bank: bank, row: rowAddr, iter: iter,
+		reqNS: m.trcd.rowReqNS(rp.trcdBase, rp.trcdScale, vpp), worst: -1,
+	}
+}
+
+// SafeNS returns a latency no column of the row can fail at: column jitter
+// only lowers a column's requirement below the row's, and measurement noise
+// raises it by at most maxNormAbs·trcdIterNoiseNS. Rounding is monotone, so
+// the bound also holds for the requirement as ColumnReqNS computes it.
+func (r *RowTRCD) SafeNS() float64 { return r.reqNS + maxNormAbs*trcdIterNoiseNS }
+
+// ColumnReqNS returns the minimum reliable latency of column col (ns).
+func (r *RowTRCD) ColumnReqNS(col int) float64 {
+	m := r.m
+	if r.worst < 0 {
+		r.worst = m.root.Derive("trcdworst", r.bank, r.row).Intn(m.geom.Columns())
+	}
+	req := r.reqNS
+	// Per-column offset: one hash-selected worst column defines the row's
+	// requirement; others are faster by a deterministic jitter.
+	if col != r.worst {
+		req -= math.Abs(m.root.Derive("trcdcol", r.bank, r.row, col).Normal(0, trcdColumnJitterNS))
+	}
+	req += m.root.Derive("trcditer", r.bank, r.row, col, r.iter).Normal(0, trcdIterNoiseNS)
+	return req
+}
+
+// AppendFlips appends to dst the bit positions TRCDFlipPositions reports
+// for column col read trcdNS after activation, and returns the extended
+// slice.
+func (r *RowTRCD) AppendFlips(dst []int32, col int, trcdNS float64) []int32 {
+	if trcdNS >= r.SafeNS() {
+		return dst
+	}
+	req := r.ColumnReqNS(col)
 	if trcdNS >= req {
-		return nil
+		return dst
 	}
 	shortfall := req - trcdNS
 	nf := 1 + int(shortfall/0.4)
-	colBits := 64 * 8
+	const colBits = 64 * 8
 	if nf > colBits {
 		nf = colBits
 	}
-	s := m.root.Derive("trcdbits", bank, rowAddr, col)
+	s := r.m.root.Derive("trcdbits", r.bank, r.row, col)
 	base := int32(col * colBits)
-	seen := make(map[int32]bool, nf)
-	out := make([]int32, 0, nf)
-	for len(out) < nf {
-		pos := base + int32(s.Intn(colBits))
-		if !seen[pos] {
-			seen[pos] = true
-			out = append(out, pos)
+	var seen [colBits / 64]uint64
+	for added := 0; added < nf; {
+		b := s.Intn(colBits)
+		if seen[b/64]&(1<<uint(b%64)) == 0 {
+			seen[b/64] |= 1 << uint(b%64)
+			dst = append(dst, base+int32(b))
+			added++
 		}
 	}
-	return out
+	return dst
 }
 
 // GroundTruthRowTRCDNS returns the row's true worst-column tRCD requirement

@@ -143,3 +143,49 @@ func TestTRCDFixThresholdsHold(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxNormAbsBoundsNormFloat64 pins maxNormAbs analytically: it must not
+// be below sqrt(-2 ln 2⁻¹⁰⁴), the largest |z| the polar method can return
+// on Float64's grid, and it exceeds it only by a rounding margin. The
+// extreme draw itself — u = 2⁻⁵², v = 0, the smallest nonzero q — stays
+// within the bound when evaluated exactly as rng.Stream.NormFloat64 does.
+func TestMaxNormAbsBoundsNormFloat64(t *testing.T) {
+	exact := math.Sqrt(-2 * math.Log(0x1p-104))
+	if maxNormAbs < exact || maxNormAbs > exact+0.01 {
+		t.Errorf("maxNormAbs = %v, want within [%v, %v]", maxNormAbs, exact, exact+0.01)
+	}
+	for _, uv := range [][2]float64{{0x1p-52, 0}, {0, 0x1p-52}, {0x1p-52, 0x1p-52}, {-0x1p-52, 0x1p-52}, {3 * 0x1p-52, 0x1p-52}} {
+		u, v := uv[0], uv[1]
+		q := u*u + v*v
+		z := u * math.Sqrt(-2*math.Log(q)/q)
+		if math.Abs(z) > maxNormAbs {
+			t.Errorf("polar draw u=%v v=%v gives |z| = %v > maxNormAbs", u, v, math.Abs(z))
+		}
+	}
+}
+
+// TestRowTRCDSafeNSBoundsEveryColumn: no column's requirement, at any
+// measurement iteration, reaches the row's SafeNS, so a read at or past it
+// is clean in every column — the property that lets a whole-row read skip
+// the per-column derivations.
+func TestRowTRCDSafeNSBoundsEveryColumn(t *testing.T) {
+	for _, name := range []string{"A0", "B3", "C0"} {
+		m := newTestModel(t, name)
+		for _, v := range []float64{VPPNominal, m.Profile().VPPMin} {
+			for row := 0; row < 20; row++ {
+				for iter := 0; iter < 5; iter++ {
+					r := m.RowTRCD(0, row, v, iter)
+					safe := r.SafeNS()
+					for col := 0; col < m.Geometry().Columns(); col++ {
+						if req := m.ColumnTRCDReqNS(0, row, col, v, iter); req >= safe {
+							t.Fatalf("%s row %d col %d: requirement %v >= SafeNS %v", name, row, col, req, safe)
+						}
+						if r.AppendFlips(nil, col, safe) != nil {
+							t.Fatalf("%s row %d col %d: flips at SafeNS", name, row, col)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -14,9 +14,7 @@
 package rng
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -42,38 +40,60 @@ func New(seed uint64) *Stream {
 	return &st
 }
 
+// FNV-1a 64-bit parameters (the hash Derive folds its labels through).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Derive returns a new independent Stream identified by the given label parts.
 // Derivation is stable: the same parent seed and labels always produce the
-// same child stream. Labels may be strings, integers, or floats.
+// same child stream. Labels may be strings, integers, or floats; any other
+// type is hashed through its fmt.Sprint form.
+//
+// The child seed is the FNV-1a hash of the parent state (four little-endian
+// words) followed by each label's bytes and a 0x1f separator: strings as-is,
+// integers and floats as eight little-endian bytes.
 func (s *Stream) Derive(labels ...any) *Stream {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(fnvOffset64)
 	for _, st := range s.s {
-		binary.LittleEndian.PutUint64(buf[:], st)
-		h.Write(buf[:])
+		h = fnvUint64(h, st)
 	}
 	for _, l := range labels {
 		switch v := l.(type) {
 		case string:
-			h.Write([]byte(v))
+			h = fnvString(h, v)
 		case int:
-			binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-			h.Write(buf[:])
+			h = fnvUint64(h, uint64(int64(v)))
 		case int64:
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			h.Write(buf[:])
+			h = fnvUint64(h, uint64(v))
 		case uint64:
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
+			h = fnvUint64(h, v)
 		case float64:
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
+			h = fnvUint64(h, math.Float64bits(v))
 		default:
-			h.Write([]byte(fmt.Sprint(v)))
+			h = fnvString(h, fmt.Sprint(v))
 		}
-		h.Write([]byte{0x1f}) // separator so ("ab","c") != ("a","bc")
+		h = (h ^ 0x1f) * fnvPrime64 // separator so ("ab","c") != ("a","bc")
 	}
-	return New(h.Sum64())
+	return New(h)
+}
+
+// fnvUint64 folds the eight little-endian bytes of v into the FNV-1a hash h.
+func fnvUint64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// fnvString folds the bytes of v into the FNV-1a hash h.
+func fnvString(h uint64, v string) uint64 {
+	for i := 0; i < len(v); i++ {
+		h = (h ^ uint64(v[i])) * fnvPrime64
+	}
+	return h
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -266,3 +266,49 @@ func BenchmarkDerive(b *testing.B) {
 		_ = s.Derive("row", i)
 	}
 }
+
+type labelStringer struct{}
+
+func (labelStringer) String() string { return "custom" }
+
+// TestDeriveGoldenVectors pins Derive's child streams for every label type
+// it accepts, so any change to the hashing (byte order, separator, type
+// encoding) that would silently reseed every stochastic quantity fails here.
+func TestDeriveGoldenVectors(t *testing.T) {
+	p := New(2022)
+	cases := []struct {
+		name   string
+		s      *Stream
+		d0, d1 uint64
+	}{
+		{"none", p.Derive(), 0x2259615c8528f2fe, 0xed641a869c3ab42c},
+		{"string", p.Derive("module", "B3"), 0x3f74e914935ec8b1, 0x9625571d33a9cf6f},
+		{"emptystring", p.Derive(""), 0xe36b10e49043c8ff, 0x89e8ef34aeadb58},
+		{"int", p.Derive("row", 0, 4711, -3), 0x710d139ee291ae40, 0x7d488127bd1d530a},
+		{"int64", p.Derive(int64(-1 << 40)), 0xf920ae4aeda97f40, 0x4203077ccec698b8},
+		{"uint64", p.Derive(uint64(1<<64 - 1)), 0x4b0cc733408ab881, 0x4591ae779a458b1a},
+		{"float64", p.Derive(1.5, math.Copysign(0, -1)), 0xc801ec40f9ed70cf, 0xb67a82da03fe494f},
+		{"sprint_int32", p.Derive(int32(7)), 0xc1799f4ecba97645, 0x4dca183d87d8da5},
+		{"sprint_bool", p.Derive(true), 0xc1b5b6ac58fc2338, 0x15556f674bda166f},
+		{"sprint_stringer", p.Derive(labelStringer{}), 0x3351f29256727f6b, 0xf31987fff0b4d64f},
+		{"mixed", p.Derive("hnoise", 0, 123, 9, uint64(5), 2.5, int64(6), "x", false), 0xe8bab4aa5201ce8f, 0x2364afad529b874a},
+		{"chain", New(7).Derive("module", "B3").Derive("row", 4711), 0x9623018113a79973, 0xe29a5a4b8a78c3d3},
+	}
+	for _, c := range cases {
+		if d0, d1 := c.s.Uint64(), c.s.Uint64(); d0 != c.d0 || d1 != c.d1 {
+			t.Errorf("%s: first draws %#x, %#x; want %#x, %#x", c.name, d0, d1, c.d0, c.d1)
+		}
+	}
+}
+
+// TestDeriveAllocs: deriving from string and small-integer labels allocates
+// only the returned stream.
+func TestDeriveAllocs(t *testing.T) {
+	root := New(2022).Derive("module", "B3")
+	allocs := testing.AllocsPerRun(200, func() {
+		root.Derive("hnoise", 0, 200, 9)
+	})
+	if allocs > 1 {
+		t.Errorf("Derive allocates %.1f times per call, want at most 1 (the child stream)", allocs)
+	}
+}

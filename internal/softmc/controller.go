@@ -48,6 +48,7 @@ type Controller struct {
 	mod    *dram.Module
 	timing Timing
 	now    dram.PS
+	image  []byte // InitializeRow's row image, reused across calls
 }
 
 // New builds a controller for the module with nominal timing.
@@ -111,10 +112,7 @@ func (c *Controller) InitializeRow(bank, row int, fill byte) error {
 		return fmt.Errorf("init row %d: %w", row, err)
 	}
 	c.advance(c.timing.TRCD)
-	image := make([]byte, c.mod.Geometry().RowBytes)
-	for i := range image {
-		image[i] = fill
-	}
+	image := c.rowImage(fill)
 	if err := c.mod.WriteRow(c.now, bank, row, image); err != nil {
 		return fmt.Errorf("init row %d: %w", row, err)
 	}
@@ -127,23 +125,33 @@ func (c *Controller) InitializeRow(bank, row int, fill byte) error {
 	return nil
 }
 
+// rowImage returns the controller's reusable row image filled with fill.
+// The module copies what it is written, so the buffer can be reused.
+func (c *Controller) rowImage(fill byte) []byte {
+	n := c.mod.Geometry().RowBytes
+	if len(c.image) != n {
+		c.image = make([]byte, n)
+	}
+	c.image[0] = fill
+	for filled := 1; filled < n; filled *= 2 {
+		copy(c.image[filled:], c.image[:filled])
+	}
+	return c.image
+}
+
 // ReadRow activates a row using the programmed tRCD, streams out every
-// column burst, precharges, and returns the full row image.
+// column burst tCCD apart, precharges, and returns the full row image.
 func (c *Controller) ReadRow(bank, row int) ([]byte, error) {
 	if err := c.mod.Activate(c.now, bank, row); err != nil {
 		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}
 	c.advance(c.timing.TRCD)
-	geom := c.mod.Geometry()
-	out := make([]byte, 0, geom.RowBytes)
-	for col := 0; col < geom.Columns(); col++ {
-		d, err := c.mod.Read(c.now, bank, col)
-		if err != nil {
-			return nil, fmt.Errorf("read row %d col %d: %w", row, col, err)
-		}
-		out = append(out, d...)
-		c.advance(c.timing.TCCD)
+	step := dram.NSToPS(c.quantize(c.timing.TCCD))
+	out, err := c.mod.ReadRow(c.now, step, bank)
+	if err != nil {
+		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}
+	c.now += dram.PS(c.mod.Geometry().Columns()) * step
 	if err := c.mod.Precharge(c.now, bank); err != nil {
 		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}

@@ -1,6 +1,7 @@
 package softmc
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -248,5 +249,99 @@ func TestRefreshAdvancesClock(t *testing.T) {
 	}
 	if c.Now() <= t0 {
 		t.Error("refresh did not advance the clock")
+	}
+}
+
+// TestInitializeRowAllocsIndependentOfRowBytes: initializing a row reuses
+// the controller's row image, so its allocations do not grow with the row
+// size (8-column vs 128-column rows) — and, with the row's device state
+// already in place, there are none.
+func TestInitializeRowAllocsIndependentOfRowBytes(t *testing.T) {
+	p, _ := physics.ProfileByName("B3")
+	allocs := map[int]float64{}
+	for _, rowBytes := range []int{512, 8192} {
+		g := testGeometry()
+		g.RowBytes = rowBytes
+		c := New(dram.NewModule(p, g, 7, dram.WithScheme(mapping.Direct{})))
+		fill := byte(0)
+		init := func() {
+			fill ^= 0xFF
+			if err := c.InitializeRow(0, 10, fill); err != nil {
+				t.Fatal(err)
+			}
+		}
+		init()
+		allocs[rowBytes] = testing.AllocsPerRun(100, init)
+		data, err := c.ReadRow(0, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range data {
+			if b != fill {
+				t.Fatalf("%d-byte row: byte %d = %#x after InitializeRow(%#x)", rowBytes, i, b, fill)
+			}
+		}
+	}
+	if allocs[512] != allocs[8192] || allocs[8192] != 0 {
+		t.Errorf("InitializeRow allocations: %.1f at 512 B, %.1f at 8 KiB rows; want 0 at both", allocs[512], allocs[8192])
+	}
+}
+
+// TestReadRowMatchesReadColumns: the controller's whole-row read returns
+// what Alg. 2-style column reads at the same tRCD return, column by column,
+// on a tRCD-failing module at VPPmin where reads at a short latency
+// corrupt data.
+func TestReadRowMatchesReadColumns(t *testing.T) {
+	p, _ := physics.ProfileByName("B3")
+	mk := func() *Controller {
+		c := New(dram.NewModule(p, testGeometry(), 7, dram.WithScheme(mapping.Direct{})))
+		c.Module().SetVPP(p.VPPMin)
+		return c
+	}
+	whole, cols := mk(), mk()
+	for _, trcd := range []float64{6, 9, 12, 13.5, 30} {
+		for _, c := range []*Controller{whole, cols} {
+			if err := c.InitializeRow(0, 20, 0x33); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetTRCD(trcd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The controller's ReadRow issues bursts tCCD apart after one
+		// activation; reproduce it on the module directly, one Read each.
+		got, err := whole.ReadRow(0, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trcd == 6 && bytes.Count(got, []byte{0x33}) == len(got) {
+			t.Fatal("a 6 ns activation at VPPmin read the row clean")
+		}
+		m := cols.Module()
+		at := cols.Now()
+		if err := m.Activate(at, 0, 20); err != nil {
+			t.Fatal(err)
+		}
+		at += dram.NSToPS(cols.quantize(trcd))
+		for col := 0; col < m.Geometry().Columns(); col++ {
+			d, err := m.Read(at, 0, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(d) != string(got[col*dram.BurstBytes:(col+1)*dram.BurstBytes]) {
+				t.Fatalf("tRCD %v ns: column %d differs between ReadRow and Read", trcd, col)
+			}
+			at += dram.NSToPS(cols.quantize(cols.timing.TCCD))
+		}
+		cols.now = at
+		if err := m.Precharge(at, 0); err != nil {
+			t.Fatal(err)
+		}
+		cols.advance(cols.timing.TRP)
+		if whole.Now() != cols.Now() {
+			t.Fatalf("tRCD %v ns: controller clocks diverged: %d vs %d", trcd, whole.Now(), cols.Now())
+		}
+		whole.ResetTiming()
+		cols.ResetTiming()
 	}
 }

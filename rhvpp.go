@@ -121,7 +121,9 @@ type labConfig struct {
 // WithSeed selects the simulated device instance.
 func WithSeed(seed uint64) LabOption { return func(c *labConfig) { c.seed = seed } }
 
-// WithGeometry overrides the simulated array organization.
+// WithGeometry overrides the simulated array organization. NewLab panics
+// with Geometry.Validate's error (naming the field and its accepted range)
+// if the geometry is unusable.
 func WithGeometry(g Geometry) LabOption { return func(c *labConfig) { c.geometry = g } }
 
 // WithConfig overrides the methodology parameters.

@@ -2,6 +2,7 @@ package rhvpp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -193,4 +194,26 @@ func TestRunExperimentTable1Content(t *testing.T) {
 	if !strings.Contains(buf.String(), "272") {
 		t.Error("table1 missing chip count")
 	}
+}
+
+// TestInvalidGeometryRejectedUpFront: a 32-byte row (half a column burst)
+// is refused where it enters — NewCampaign returns Validate's field-naming
+// error, NewLab panics with it at construction — instead of passing and
+// panicking with a slice-bounds error on the first row read.
+func TestInvalidGeometryRejectedUpFront(t *testing.T) {
+	g := Geometry{Banks: 1, RowsPerBank: 4096, RowBytes: 32, SubarrayRows: 512}
+	const want = "Geometry.RowBytes 32 is out of range (accepted range: 64 or more"
+	o := GoldenOptions()
+	o.Geometry = g
+	if _, err := NewCampaign(o); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("NewCampaign error = %v, want it to contain %q", err, want)
+	}
+	prof, _ := ModuleByName("B3")
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("NewLab recovered %v, want a panic containing %q", r, want)
+		}
+	}()
+	lab := NewLab(prof, WithGeometry(g))
+	_, _ = lab.MeasureBER(100, 1000)
 }
