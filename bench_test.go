@@ -268,17 +268,16 @@ func BenchmarkTransientStep(b *testing.B) {
 }
 
 // BenchmarkMonteCarlo measures the Fig. 8b/9b campaign throughput at a
-// mid-sweep VPP. The serial-dense-reference sub-benchmark is the pre-rework
-// baseline (one worker, full re-stamp, finite-difference Jacobians); jobs=1
-// isolates the incremental-assembly + analytic-Jacobian speedup and jobs=4
-// adds the worker pool. All variants produce byte-identical MCResults.
+// mid-sweep VPP. jobs=1-fixed-grid pins the incremental engine to the 25 ps
+// grid, jobs=1 adds adaptive stepping and jobs=4 adds the worker pool. The
+// dense reference engine's cost per step is BenchmarkTransientStep's
+// dense-reference case. All variants produce byte-identical MCResults.
 func BenchmarkMonteCarlo(b *testing.B) {
 	const runs = 24
 	cases := []struct {
 		name string
 		cfg  spice.MCConfig
 	}{
-		{"serial-dense-reference", spice.MCConfig{Jobs: 1, Reference: true}},
 		{"jobs=1-fixed-grid", spice.MCConfig{Jobs: 1, FixedGrid: true}},
 		{"jobs=1", spice.MCConfig{Jobs: 1}},
 		{"jobs=4", spice.MCConfig{Jobs: 4}},
@@ -300,8 +299,8 @@ func BenchmarkMonteCarlo(b *testing.B) {
 // BenchmarkMonteCarloSweepAggregate measures the streaming aggregation
 // pipeline end to end: one global run queue across three VPP levels,
 // per-worker workspace reuse, per-level accumulators folded in index order.
-// B/op divided by the 48 runs per iteration is the bytes-per-run trajectory
-// metric BENCH_spice.json records as mc_agg_bytes_per_run.
+// B/op divided by the 48 runs per iteration is the aggregation's bytes per
+// run, which must stay independent of the run count.
 func BenchmarkMonteCarloSweepAggregate(b *testing.B) {
 	vpps := []float64{2.5, 2.0, 1.7}
 	cfg := spice.MCConfig{Runs: 16, Seed: 2022, Variation: 0.05, Jobs: 4}

@@ -44,7 +44,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/unitchecker"
@@ -66,8 +65,6 @@ func main() {
 
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log on stdout")
-	benchOut := flag.String("bench", "",
-		"after a run, record detlint_ns_per_pkg plus the per-analyzer detlint_analyzer_ns_per_pkg breakdown into this JSON snapshot file (read-modify-write)")
 	for _, a := range suite.All() {
 		a.Flags.VisitAll(func(f *flag.Flag) {
 			flag.Var(f.Value, a.Name+"."+f.Name, f.Usage)
@@ -82,22 +79,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// Per-analyzer timing only runs under -bench: the injected clock keeps
-	// the wall-clock read here, under one reasoned suppression, instead of
-	// inside the analyzer core the detsource contract also covers.
-	var analyzerNS map[string]float64
-	var clock func() time.Time
-	var observe func(string, time.Duration)
-	if *benchOut != "" {
-		analyzerNS = make(map[string]float64)
-		clock = time.Now //detlint:ignore detsource self-timing of the analyzer run for the perf snapshot
-		observe = func(name string, elapsed time.Duration) {
-			analyzerNS[name] += float64(elapsed.Nanoseconds())
-		}
-	}
-	start := time.Now() //detlint:ignore detsource self-timing of the analyzer run for the perf snapshot
-	findings, npkgs, err := lint(".", patterns, clock, observe)
-	elapsed := time.Since(start) //detlint:ignore detsource self-timing of the analyzer run for the perf snapshot
+	findings, err := lint(".", patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "detlint:", err)
 		os.Exit(2)
@@ -116,45 +98,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "detlint:", err)
 		os.Exit(2)
 	}
-	if *benchOut != "" && npkgs > 0 {
-		perAnalyzer := make(map[string]float64, len(analyzerNS))
-		for name, ns := range analyzerNS {
-			perAnalyzer[name] = ns / float64(npkgs)
-		}
-		if err := recordBench(*benchOut, float64(elapsed.Nanoseconds())/float64(npkgs), perAnalyzer); err != nil {
-			fmt.Fprintln(os.Stderr, "detlint:", err)
-			os.Exit(2)
-		}
-	}
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-// recordBench merges detlint_ns_per_pkg and the per-analyzer breakdown
-// into the JSON object at path, preserving every other key
-// (BENCH_spice.json is owned by cmd/spicebench; these are the
-// analyzer-cost lines of the same perf snapshot).
-func recordBench(path string, nsPerPkg float64, perAnalyzer map[string]float64) error {
-	snapshot := make(map[string]any)
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &snapshot); err != nil {
-			return fmt.Errorf("bench snapshot %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	snapshot["detlint_ns_per_pkg"] = nsPerPkg
-	if len(perAnalyzer) > 0 {
-		snapshot["detlint_analyzer_ns_per_pkg"] = perAnalyzer
-	}
-	// Map marshaling sorts keys, so repeated -bench runs rewrite the file
-	// identically; cmd/spicebench carries the key through its own rewrites.
-	b, err := json.MarshalIndent(snapshot, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // listedPkg is the subset of `go list -json` output the driver consumes.
@@ -173,13 +119,12 @@ type listedPkg struct {
 // lint loads the packages matching patterns (relative to dir) and runs the
 // full analyzer suite over every non-dependency, non-test package, in
 // dependency order under one shared fact store so facts exported while
-// analyzing a package are visible at its importers' call sites. It returns
-// the findings plus the number of packages analyzed (for -bench). A
-// non-nil clock enables per-analyzer timing, reported through observe.
-func lint(dir string, patterns []string, clock func() time.Time, observe func(string, time.Duration)) ([]detlint.Finding, int, error) {
+// analyzing a package are visible at its importers' call sites. Findings
+// come back sorted by position.
+func lint(dir string, patterns []string) ([]detlint.Finding, error) {
 	pkgs, err := load(dir, patterns)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	exports := make(map[string]string, len(pkgs))
 	var targets []listedPkg
@@ -231,20 +176,20 @@ func lint(dir string, patterns []string, clock func() time.Time, observe func(st
 	store := detlint.NewFactStore()
 	for _, target := range targets {
 		if len(target.CgoFiles) > 0 {
-			return nil, 0, fmt.Errorf("%s uses cgo, which this driver cannot type-check", target.ImportPath)
+			return nil, fmt.Errorf("%s uses cgo, which this driver cannot type-check", target.ImportPath)
 		}
-		pkgFindings, err := lintPackage(fset, imp, target, analyzers, store, clock, observe)
+		pkgFindings, err := lintPackage(fset, imp, target, analyzers, store)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		findings = append(findings, pkgFindings...)
 	}
 	detlint.SortFindings(findings)
-	return findings, len(targets), nil
+	return findings, nil
 }
 
 // lintPackage parses, type-checks and analyzes one package.
-func lintPackage(fset *token.FileSet, imp types.Importer, target listedPkg, analyzers []*analysis.Analyzer, store *detlint.FactStore, clock func() time.Time, observe func(string, time.Duration)) ([]detlint.Finding, error) {
+func lintPackage(fset *token.FileSet, imp types.Importer, target listedPkg, analyzers []*analysis.Analyzer, store *detlint.FactStore) ([]detlint.Finding, error) {
 	files := make([]*ast.File, 0, len(target.GoFiles))
 	for _, name := range target.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(target.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -259,7 +204,7 @@ func lintPackage(fset *token.FileSet, imp types.Importer, target listedPkg, anal
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", target.ImportPath, err)
 	}
-	return detlint.RunAnalyzersObserved(&detlint.Package{Fset: fset, Files: files, Types: tpkg, Info: info}, analyzers, store, clock, observe)
+	return detlint.RunAnalyzersFacts(&detlint.Package{Fset: fset, Files: files, Types: tpkg, Info: info}, analyzers, store)
 }
 
 // load shells out to `go list` for package metadata plus export data for

@@ -18,7 +18,7 @@ import (
 // TestCLIAndHTTPReportIdenticalErrors pins the shared option surface: an
 // invalid knob given as a CLI flag and as a query parameter must be rejected
 // with the same text, whether the rejection comes from parsing (an unknown
-// knob) or from Options.Validate (a negative size).
+// knob) or from Options.Validate (a negative size, a non-finite tolerance).
 func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 	hs := httptest.NewServer(server.New(server.Config{Base: rhvpp.GoldenOptions()}).Handler())
 	defer hs.Close()
@@ -28,6 +28,10 @@ func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 		{"rows", "-1"},
 		{"stride", "-2"},
 		{"jobs", "-1"},
+		{"ltetol", "-5"},
+		{"ltetol", "NaN"},
+		{"ltetol", "Inf"},
+		{"ltetol", "-Inf"},
 		{"batch", "4"},
 	} {
 		var out bytes.Buffer

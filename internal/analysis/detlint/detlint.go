@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"golang.org/x/tools/go/analysis"
 )
@@ -163,18 +162,6 @@ func RunAnalyzers(pkg *Package, analyzers []*analysis.Analyzer) ([]Finding, erro
 // imported facts to be present, mirroring the upstream framework's
 // scheduling contract.
 func RunAnalyzersFacts(pkg *Package, analyzers []*analysis.Analyzer, store *FactStore) ([]Finding, error) {
-	return RunAnalyzersObserved(pkg, analyzers, store, nil, nil)
-}
-
-// RunAnalyzersObserved is RunAnalyzersFacts with per-analyzer timing: when
-// clock is non-nil, observe is called after each analyzer's Run on this
-// package with the analyzer's name (helper passes like inspect and
-// ctrlflow included, under their own names) and the wall time the run
-// took. The clock is injected by the caller rather than read here, so the
-// deterministic-source contract this suite enforces holds for the suite's
-// own code; cmd/detlint -bench passes time.Now under its own reasoned
-// detsource suppression.
-func RunAnalyzersObserved(pkg *Package, analyzers []*analysis.Analyzer, store *FactStore, clock func() time.Time, observe func(analyzer string, elapsed time.Duration)) ([]Finding, error) {
 	if err := analysis.Validate(analyzers); err != nil {
 		return nil, err
 	}
@@ -218,14 +205,7 @@ func RunAnalyzersObserved(pkg *Package, analyzers []*analysis.Analyzer, store *F
 				Message:  d.Message,
 			})
 		}
-		var start time.Time
-		if clock != nil {
-			start = clock()
-		}
 		res, err := a.Run(pass)
-		if clock != nil {
-			observe(a.Name, clock().Sub(start))
-		}
 		if err != nil {
 			return nil, fmt.Errorf("detlint: %s on %s: %w", a.Name, pkg.Types.Path(), err)
 		}

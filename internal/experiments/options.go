@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -105,7 +106,8 @@ func KnownModuleNames() []string {
 // quietly run a configuration the caller never asked for. Likewise a
 // negative campaign size (SpiceMCRuns, Chunks, RowsPerChunk) or VPPStride
 // describes no campaign at all; accepting it would run some other one under
-// a fingerprint of its own.
+// a fingerprint of its own. A negative or non-finite SpiceLTETolV is no
+// tolerance either, and NaN cannot be encoded into a shard artifact.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: Jobs %d is negative (use 0 for one worker per CPU, or a positive worker count)", o.Jobs)
@@ -126,8 +128,8 @@ func (o Options) Validate() error {
 	if err := o.Geometry.Validate(); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
-	if o.SpiceLTETolV < 0 {
-		return fmt.Errorf("experiments: SpiceLTETolV %g is negative (use 0 for the engine default, or a positive tolerance in volts)", o.SpiceLTETolV)
+	if v := o.SpiceLTETolV; v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("experiments: SpiceLTETolV %g is out of range (accepted range: 0 for the engine default, or a finite positive tolerance in volts)", v)
 	}
 	_, err := o.profiles()
 	return err

@@ -142,11 +142,6 @@ type MCConfig struct {
 	// fold into the aggregates in index order through a bounded reorder
 	// window, so the result is byte-identical at any worker count.
 	Jobs int
-	// Reference routes every run through the dense finite-difference
-	// reference engine instead of the incremental solver. It exists for the
-	// equivalence tests and as the benchmarks' pre-rework baseline; it
-	// implies FixedGrid (the reference is the fixed-grid oracle).
-	Reference bool
 	// FixedGrid disables adaptive step coarsening and integrates every cell
 	// of the 25 ps grid, the pre-adaptive behavior.
 	FixedGrid bool
@@ -223,18 +218,6 @@ func RunMonteCarloSweep(ctx context.Context, vpps []float64, cfg MCConfig) ([]MC
 	// per P; results cannot depend on which workspace serves which run
 	// because Workspace.Simulate is bit-identical to a fresh simulation.
 	var workspaces sync.Pool
-	sim := func(p CellParams) (ActivationResult, error) {
-		if cfg.Reference {
-			return SimulateActivationReference(p, nil)
-		}
-		ws, _ := workspaces.Get().(*Workspace)
-		if ws == nil {
-			ws = NewWorkspace()
-		}
-		out, err := ws.Simulate(p, nil)
-		workspaces.Put(ws)
-		return out, err
-	}
 
 	n := len(vpps) * cfg.Runs
 	err := pool.RunOrdered(ctx, cfg.jobs(), n,
@@ -244,12 +227,17 @@ func RunMonteCarloSweep(ctx context.Context, vpps []float64, cfg MCConfig) ([]MC
 			li, ri := i/cfg.Runs, i%cfg.Runs
 			p := Vary(DefaultCellParams(vpps[li]), roots[li].Derive("run", ri), cfg.Variation)
 			switch {
-			case cfg.Reference || cfg.FixedGrid:
+			case cfg.FixedGrid:
 				p.Adaptive = AdaptiveConfig{}
 			case cfg.LTETolV > 0:
 				p.Adaptive.LTETolV = cfg.LTETolV
 			}
-			out, err := sim(p)
+			ws, _ := workspaces.Get().(*Workspace)
+			if ws == nil {
+				ws = NewWorkspace()
+			}
+			out, err := ws.Simulate(p, nil)
+			workspaces.Put(ws)
 			switch {
 			case errors.Is(err, ErrNoConverge):
 				return mcRun{noConverge: true}, nil
