@@ -16,7 +16,10 @@ import (
 	"io"
 	"testing"
 
+	"github.com/dramstudy/rhvpp/internal/core"
 	"github.com/dramstudy/rhvpp/internal/experiments"
+	"github.com/dramstudy/rhvpp/internal/infra"
+	"github.com/dramstudy/rhvpp/internal/pattern"
 	"github.com/dramstudy/rhvpp/internal/physics"
 	"github.com/dramstudy/rhvpp/internal/spice"
 	"github.com/dramstudy/rhvpp/internal/stats"
@@ -213,6 +216,32 @@ func BenchmarkFig7TRCDvsVPP(b *testing.B) {
 	}
 	// Paper: A0 exceeds 13.5ns, fixed by 24ns.
 	b.ReportMetric(worst, "A0-tRCDmin@VPPmin-ns")
+}
+
+// BenchmarkCharacterizeRowTRCD times one Alg. 2 row characterization at the
+// paper's scale: 8 KiB rows of 128 column bursts, ten iterations per
+// latency, on B3 (the paper_slice benchmark's module) at VPPmin. It is the
+// per-row layer under the tRCD study; the reported tRCDmin is the last
+// row's result, which no speed-up may change.
+func BenchmarkCharacterizeRowTRCD(b *testing.B) {
+	prof, _ := physics.ProfileByName("B3")
+	geom := physics.FullGeometry()
+	tb := infra.NewTestbed(prof, geom, 2022)
+	if err := tb.SetVPP(prof.VPPMin); err != nil {
+		b.Fatal(err)
+	}
+	tester := core.NewTester(tb.Controller, core.Default())
+	rows := core.SelectRows(geom, 4, 2)
+	var last float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := tester.CharacterizeRowTRCD(rows[i%len(rows)], pattern.CheckerAA)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res.MinReliableNS
+	}
+	b.ReportMetric(last, "tRCDmin-ns")
 }
 
 func BenchmarkSection61Guardband(b *testing.B) {

@@ -18,7 +18,8 @@ import (
 // TestCLIAndHTTPReportIdenticalErrors pins the shared option surface: an
 // invalid knob given as a CLI flag and as a query parameter must be rejected
 // with the same text, whether the rejection comes from parsing (an unknown
-// knob) or from Options.Validate (a negative size, a non-finite tolerance).
+// knob) or from Options.Validate (a negative size, a row selection larger
+// than the bank, a non-finite tolerance).
 func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 	hs := httptest.NewServer(server.New(server.Config{Base: rhvpp.GoldenOptions()}).Handler())
 	defer hs.Close()
@@ -33,6 +34,10 @@ func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 		{"ltetol", "Inf"},
 		{"ltetol", "-Inf"},
 		{"batch", "4"},
+		{"chunks", "3037000500"},
+		{"rows", "3037000500"},
+		{"rows", "100000000000"},
+		{"rows", "2049"},
 	} {
 		var out bytes.Buffer
 		cliErr := run(t.Context(), []string{"-preset", "golden", "-exp", "fig8b", "-" + tc.flag, tc.value}, &out)

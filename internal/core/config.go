@@ -86,17 +86,25 @@ func Quick() Config {
 
 // SelectRows returns the tested victim rows: chunks of consecutive rows
 // evenly distributed across the bank (the paper tests four chunks of 1K rows
-// each, §4.2). Rows are logical addresses.
+// each, §4.2). Rows are logical addresses, ascending and distinct: chunk c
+// starts at row c·RowsPerBank/chunks and stops short of the next chunk's
+// start, so chunks larger than the bank's share are cut there, and more
+// chunks than rows select every row once.
 func SelectRows(geom physics.Geometry, chunks, rowsPerChunk int) []int {
-	if chunks < 1 || rowsPerChunk < 1 {
+	total := geom.RowsPerBank
+	if chunks < 1 || rowsPerChunk < 1 || total < 1 {
 		return nil
 	}
-	total := geom.RowsPerBank
-	rows := make([]int, 0, chunks*rowsPerChunk)
+	chunks = min(chunks, total)
+	size := total // the count, without forming chunks·rowsPerChunk when it exceeds the bank
+	if rowsPerChunk <= total/chunks {
+		size = chunks * rowsPerChunk
+	}
+	rows := make([]int, 0, size)
 	for c := 0; c < chunks; c++ {
-		start := c * total / chunks
-		for r := 0; r < rowsPerChunk && start+r < total; r++ {
-			rows = append(rows, start+r)
+		start, next := c*total/chunks, (c+1)*total/chunks
+		for r := start; r < next && r-start < rowsPerChunk; r++ {
+			rows = append(rows, r)
 		}
 	}
 	return rows

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -37,6 +38,39 @@ func TestSelectRows(t *testing.T) {
 	}
 	if SelectRows(testGeometry(), 0, 8) != nil {
 		t.Error("zero chunks should return nil")
+	}
+}
+
+// TestSelectRowsDistinctAndBounded: chunks wider than the bank's share are
+// cut at the next chunk's start instead of repeating its rows, and sizes
+// whose product overflows or exceeds memory select each row once instead of
+// panicking or exhausting the heap.
+func TestSelectRowsDistinctAndBounded(t *testing.T) {
+	geom := physics.Geometry{Banks: 1, RowsPerBank: 4096, RowBytes: 512, SubarrayRows: 512}
+	for _, tc := range []struct{ chunks, perChunk, want int }{
+		{2, 3000, 4096},
+		{2, 2048, 4096},
+		{3, 1365, 4095},
+		{3, 5000, 4096},
+		{4, 3, 12},
+		{3037000500, 3037000500, 4096},
+		{2, 100000000000, 4096},
+		{5000, 1, 4096},
+	} {
+		rows := SelectRows(geom, tc.chunks, tc.perChunk)
+		if len(rows) != tc.want {
+			t.Errorf("SelectRows(%d, %d): %d rows, want %d", tc.chunks, tc.perChunk, len(rows), tc.want)
+		}
+		for i, r := range rows {
+			if r < 0 || r >= geom.RowsPerBank || (i > 0 && r <= rows[i-1]) {
+				t.Fatalf("SelectRows(%d, %d): row %d at index %d is out of range or not after %d",
+					tc.chunks, tc.perChunk, r, i, rows[max(i-1, 0)])
+			}
+		}
+	}
+	// Sizes within the bank's share select the same rows as before.
+	if rows := SelectRows(geom, 2, 3); fmt.Sprint(rows) != "[0 1 2 2048 2049 2050]" {
+		t.Errorf("SelectRows(2, 3) = %v", rows)
 	}
 }
 
@@ -208,6 +242,84 @@ func TestTRCDMinSearchMatchesGroundTruth(t *testing.T) {
 		if min < gt-1.6 || min > gt+1.6 {
 			t.Errorf("row %d: measured tRCDmin %.1f vs ground truth %.2f", row, min, gt)
 		}
+	}
+}
+
+// rowFaultyPerColumn is Alg. 2's check as a per-column command loop:
+// re-initialize the row at nominal timing, read one column at the
+// programmed tRCD, compare, for every column and iteration. It is the
+// oracle rowFaultyAtTRCD's one probe per iteration must match.
+func rowFaultyPerColumn(t *Tester, row int, pat pattern.Kind, iters int) (bool, error) {
+	want := pat.Byte()
+	for i := 0; i < iters; i++ {
+		for col := 0; col < t.ctrl.Module().Geometry().Columns(); col++ {
+			trcd := t.ctrl.Timing().TRCD
+			t.ctrl.ResetTiming()
+			if err := t.ctrl.InitializeRow(t.cfg.Bank, row, want); err != nil {
+				return false, err
+			}
+			if err := t.ctrl.SetTRCD(trcd); err != nil {
+				return false, err
+			}
+			data, err := t.ctrl.ReadColumn(t.cfg.Bank, row, col)
+			if err != nil {
+				return false, err
+			}
+			if pat.CountMismatch(data) > 0 {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
+}
+
+// TestRowFaultyAtTRCDMatchesPerColumnLoop: on twin testers, the probe-based
+// Alg. 2 check agrees with the per-column command loop at every tRCD of the
+// sweep grid, at nominal VPP and VPPmin, and leaves the controller and the
+// module at the same time with the same timing.
+func TestRowFaultyAtTRCDMatchesPerColumnLoop(t *testing.T) {
+	faulty, clean := 0, 0
+	for _, name := range []string{"A0", "B3", "C0"} {
+		probe, oracle := newTester(t, name, Quick()), newTester(t, name, Quick())
+		for _, vpp := range []float64{physics.VPPNominal, probe.ctrl.Module().Profile().VPPMin} {
+			for _, tr := range []*Tester{probe, oracle} {
+				tr.ctrl.Module().SetVPP(vpp)
+			}
+			for _, row := range []int{0, 60, 511, 512, 900} {
+				pat := pattern.All()[row%6]
+				for trcd := 1.5; trcd <= 24; trcd += 1.5 {
+					for _, tr := range []*Tester{probe, oracle} {
+						if err := tr.ctrl.SetTRCD(trcd); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got, err := probe.rowFaultyAtTRCD(row, pat, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := rowFaultyPerColumn(oracle, row, pat, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s VPP %v row %d tRCD %v: faulty %v, per-column loop %v", name, vpp, row, trcd, got, want)
+					}
+					pc, oc := probe.ctrl, oracle.ctrl
+					if pc.Now() != oc.Now() || pc.Module().Now() != oc.Module().Now() || pc.Timing() != oc.Timing() {
+						t.Fatalf("%s VPP %v row %d tRCD %v: controller %d / module %d / %+v, per-column loop %d / %d / %+v",
+							name, vpp, row, trcd, pc.Now(), pc.Module().Now(), pc.Timing(), oc.Now(), oc.Module().Now(), oc.Timing())
+					}
+					if got {
+						faulty++
+					} else {
+						clean++
+					}
+				}
+			}
+		}
+	}
+	if faulty == 0 || clean == 0 {
+		t.Errorf("%d faulty and %d clean checks: the sweep misses an outcome", faulty, clean)
 	}
 }
 

@@ -255,11 +255,19 @@ func (m *Module) activateN(t PS, bankIdx, logicalRow, count int) error {
 	bk.openRow = phys
 	bk.openedAt = t
 
-	c := float64(count)
+	m.expose(bk, phys, float64(count))
+	if m.trr != nil {
+		m.trr.observeActivations(phys, count)
+	}
+	return nil
+}
+
+// expose adds c activations of physical row phys to its neighbors'
+// disturbance exposure. Distance-one neighbors accumulate full single-side
+// exposure; distance-two neighbors a small fraction. Disturbance does not
+// cross subarray boundaries (isolation sense amplifiers between subarrays).
+func (m *Module) expose(bk *bankState, phys int, c float64) {
 	sub := m.geom.SubarrayRows
-	// Distance-one neighbors accumulate full single-side exposure;
-	// distance-two neighbors a small fraction. Disturbance does not cross
-	// subarray boundaries (isolation sense amplifiers between subarrays).
 	if lo := phys - 1; lo >= 0 && sameSubarray(phys, lo, sub) {
 		bk.row(lo).hammerHi += c
 	}
@@ -272,10 +280,6 @@ func (m *Module) activateN(t PS, bankIdx, logicalRow, count int) error {
 	if hi2 := phys + 2; hi2 < m.geom.RowsPerBank && sameSubarray(phys, hi2, sub) {
 		bk.row(hi2).hammerD2 += c
 	}
-	if m.trr != nil {
-		m.trr.observeActivations(phys, count)
-	}
-	return nil
 }
 
 func sameSubarray(a, b, sub int) bool {
@@ -405,7 +409,7 @@ func (sp *span) flip(pos int32) {
 func (m *Module) readRetention(sp *span, bankIdx, phys int, rs *rowState) {
 	ncols := len(sp.out) / BurstBytes
 	elapsedMS := func(i int) float64 { return float64(sp.at(i)-rs.lastWrite) / float64(PSPerMS) }
-	if elapsedMS(ncols-1) <= 0 {
+	if !m.retentionMayFlip(bankIdx, phys, elapsedMS(ncols-1)) {
 		return
 	}
 	ret := m.model.RowRetention(bankIdx, phys, m.vpp, m.tempC, rs.writeEpoch)
@@ -442,6 +446,80 @@ func (m *Module) readRetention(sp *span, bankIdx, phys int, rs *rowState) {
 			sp.flip(pos)
 		}
 	}
+}
+
+// retentionMayFlip reports whether a row read elapsedMS after its last
+// write or refresh can show retention flips: not when no time has passed,
+// nor below the row's retention-quiet bound.
+func (m *Module) retentionMayFlip(bankIdx, phys int, elapsedMS float64) bool {
+	return elapsedMS > 0 && elapsedMS >= m.model.RetentionQuietMS(bankIdx, phys, m.vpp, m.tempC)
+}
+
+// ColumnProbe is the command schedule of one step of Alg. 2's per-column
+// loop, as offsets from the step's first ACT: the row is opened, written
+// whole with Image and closed (initialize_row), then opened again, one
+// column burst is read, and the row is closed.
+type ColumnProbe struct {
+	Image          []byte
+	Write, InitPre PS // the full-row WR and the PRE closing it
+	ReadAct, Read  PS // the second ACT and the RD burst
+	ReadPre        PS // the PRE closing the read
+	Period         PS // to the next step's first ACT
+}
+
+// ProbeColumns runs p's step for columns 0, 1, ... of a row, the c-th
+// step starting at t0 + c·Period, and stops after the first column whose
+// burst differs from the image written, returning that column, or -1 when
+// every column reads clean. The result and the device state it leaves (time, row
+// image, write epoch and last write, the neighbors' exposure, the bank) are
+// exactly those of issuing every step's commands one by one, but the row's
+// physics is resolved once: each step rewrites the row, so its burst holds
+// no hammer flips, and the read comes before the row's retention-quiet
+// bound, so it holds no retention flips either; what is left is the
+// column's tRCD check, and that runs only when the read latency is below
+// the row's SafeNS, each column at its own write epoch.
+//
+// It reports ok=false, having issued nothing, when it cannot vouch for
+// that: with a TRR engine attached (it observes every activation), when a
+// command of the schedule would fail or go back in time, or when the read
+// could show retention flips. The caller then issues the commands itself.
+func (m *Module) ProbeColumns(t0 PS, bankIdx, logicalRow int, p ColumnProbe) (col int, ok bool) {
+	inOrder := 0 <= p.Write && p.Write <= p.InitPre && p.InitPre <= p.ReadAct &&
+		p.ReadAct <= p.Read && p.Read <= p.ReadPre && p.ReadPre <= p.Period
+	if m.trr != nil || !inOrder || len(p.Image) != m.geom.RowBytes || t0 < m.now || !m.Responds() ||
+		bankIdx < 0 || bankIdx >= len(m.banks) || m.checkRow(logicalRow) != nil {
+		return -1, false
+	}
+	bk := &m.banks[bankIdx]
+	phys := m.scheme.LogicalToPhysical(logicalRow)
+	if bk.openRow != -1 || m.retentionMayFlip(bankIdx, phys, float64(p.Read-p.Write)/float64(PSPerMS)) {
+		return -1, false
+	}
+	rs := bk.row(phys)
+	trcdNS := float64(p.Read-p.ReadAct) / float64(PSPerNS)
+	first, steps := -1, m.geom.Columns()
+	if trcd := m.model.RowTRCD(bankIdx, phys, m.vpp, rs.writeEpoch); trcdNS < trcd.SafeNS() {
+		for c := 0; c < steps; c++ {
+			// Step c's read sees the epoch of its own write.
+			if trcd = trcd.AtIter(rs.writeEpoch + c + 1); trcd.Violated(c, trcdNS) {
+				first, steps = c, c+1
+				break
+			}
+		}
+	}
+
+	last := t0 + PS(steps-1)*p.Period
+	m.expose(bk, phys, float64(2*steps)) // two activations per step
+	if rs.data == nil {
+		rs.data = make([]byte, m.geom.RowBytes)
+	}
+	copy(rs.data, p.Image)
+	rs.writeEpoch += steps
+	rs.lastWrite = last + p.Write
+	rs.hammerLo, rs.hammerHi, rs.hammerD2 = 0, 0, 0
+	bk.openedAt = last + p.ReadAct
+	m.now = last + p.ReadPre
+	return first, true
 }
 
 // doubleSidedEquivalent folds the per-side exposure counters into the

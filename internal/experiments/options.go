@@ -106,8 +106,10 @@ func KnownModuleNames() []string {
 // quietly run a configuration the caller never asked for. Likewise a
 // negative campaign size (SpiceMCRuns, Chunks, RowsPerChunk) or VPPStride
 // describes no campaign at all; accepting it would run some other one under
-// a fingerprint of its own. A negative or non-finite SpiceLTETolV is no
-// tolerance either, and NaN cannot be encoded into a shard artifact.
+// a fingerprint of its own, and so does a row selection larger than the
+// bank (more Chunks than rows, or RowsPerChunk past a chunk's even share of
+// the bank). A negative or non-finite SpiceLTETolV is no tolerance either,
+// and NaN cannot be encoded into a shard artifact.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: Jobs %d is negative (use 0 for one worker per CPU, or a positive worker count)", o.Jobs)
@@ -127,6 +129,13 @@ func (o Options) Validate() error {
 	}
 	if err := o.Geometry.Validate(); err != nil {
 		return fmt.Errorf("experiments: %w", err)
+	}
+	// Chunks split the bank evenly; a chunk larger than its share would
+	// repeat the next chunk's rows.
+	if bank := o.Geometry.RowsPerBank; o.Chunks > bank {
+		return fmt.Errorf("experiments: Chunks %d is out of range (accepted range: 0 to %d, the rows per bank)", o.Chunks, bank)
+	} else if o.Chunks > 0 && o.RowsPerChunk > bank/o.Chunks {
+		return fmt.Errorf("experiments: RowsPerChunk %d is out of range (accepted range: 0 to %d, the rows per bank / Chunks)", o.RowsPerChunk, bank/o.Chunks)
 	}
 	if v := o.SpiceLTETolV; v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("experiments: SpiceLTETolV %g is out of range (accepted range: 0 for the engine default, or a finite positive tolerance in volts)", v)

@@ -314,6 +314,36 @@ func TestValidateRejectsNegativeSizes(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOversizedRowSelection: more Chunks than rows per bank,
+// or RowsPerChunk past a chunk's even share of the bank, is rejected naming
+// the field, the value and the accepted range; the largest accepted sizes
+// pass. Such selections used to repeat rows, or overflow the row list's
+// capacity and panic.
+func TestValidateRejectsOversizedRowSelection(t *testing.T) {
+	o := shardOptions()
+	bank := o.Geometry.RowsPerBank
+	for _, tc := range []struct {
+		chunks, perChunk int
+		want             string
+	}{
+		{bank + 1, 1, fmt.Sprintf("Chunks %d is out of range (accepted range: 0 to %d, the rows per bank)", bank+1, bank)},
+		{3037000500, 3037000500, fmt.Sprintf("Chunks 3037000500 is out of range (accepted range: 0 to %d", bank)},
+		{2, bank/2 + 1, fmt.Sprintf("RowsPerChunk %d is out of range (accepted range: 0 to %d, the rows per bank / Chunks)", bank/2+1, bank/2)},
+		{2, 100000000000, fmt.Sprintf("RowsPerChunk 100000000000 is out of range (accepted range: 0 to %d", bank/2)},
+	} {
+		o.Chunks, o.RowsPerChunk = tc.chunks, tc.perChunk
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Chunks=%d RowsPerChunk=%d: Validate() = %v, want an error containing %q", tc.chunks, tc.perChunk, err, tc.want)
+		}
+	}
+	for _, tc := range []struct{ chunks, perChunk int }{{bank, 1}, {2, bank / 2}, {0, bank + 1}, {3, bank / 3}} {
+		o.Chunks, o.RowsPerChunk = tc.chunks, tc.perChunk
+		if err := o.Validate(); err != nil {
+			t.Errorf("Chunks=%d RowsPerChunk=%d rejected: %v", tc.chunks, tc.perChunk, err)
+		}
+	}
+}
+
 // TestValidateRejectsBadLTETol: a negative or non-finite SpiceLTETolV is
 // rejected naming the field, the value and the accepted range, while 0 (the
 // engine default) and a finite positive tolerance pass.

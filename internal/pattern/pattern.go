@@ -6,7 +6,9 @@
 package pattern
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -112,21 +114,17 @@ func (k Kind) Bit(bitOffset int) bool {
 
 // CountMismatch returns the number of bits in got that differ from pattern
 // k's expected fill. It is the BER numerator of the paper's compare_data
-// step.
+// step. It compares eight bytes at a time against the fill replicated
+// across a word, then the tail byte by byte.
 func (k Kind) CountMismatch(got []byte) int {
 	want := k.Byte()
-	n := 0
-	for _, g := range got {
-		n += popcount(g ^ want)
+	word := uint64(want) * 0x0101_0101_0101_0101
+	n, i := 0, 0
+	for ; i+8 <= len(got); i += 8 {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(got[i:]) ^ word)
 	}
-	return n
-}
-
-func popcount(b byte) int {
-	n := 0
-	for b != 0 {
-		b &= b - 1
-		n++
+	for ; i < len(got); i++ {
+		n += bits.OnesCount8(got[i] ^ want)
 	}
 	return n
 }

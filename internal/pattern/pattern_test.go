@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -203,5 +204,44 @@ func TestQuickMismatchSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCountMismatchWordwiseMatchesBytewise checks the word-at-a-time count
+// against a byte-at-a-time one for every pattern, at every length around
+// the 8-byte word (so every tail length is hit) and at a full 8 KiB row,
+// with random bits flipped and random bytes written.
+func TestCountMismatchWordwiseMatchesBytewise(t *testing.T) {
+	bytewise := func(k Kind, got []byte) int {
+		n := 0
+		for _, g := range got {
+			for x := g ^ k.Byte(); x != 0; x &= x - 1 {
+				n++
+			}
+		}
+		return n
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	lengths := []int{8192}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, k := range All() {
+		for _, n := range lengths {
+			for trial := 0; trial < 8; trial++ {
+				buf := make([]byte, n)
+				k.Fill(buf)
+				for f := r.IntN(2*n*8 + 1); f > 0 && n > 0; f-- {
+					pos := r.IntN(n * 8)
+					buf[pos/8] ^= 1 << (pos % 8)
+				}
+				if trial == 7 && n > 0 {
+					buf[r.IntN(n)] = byte(r.IntN(256))
+				}
+				if got, want := k.CountMismatch(buf), bytewise(k, buf); got != want {
+					t.Fatalf("%v, %d bytes: CountMismatch = %d, byte-wise count %d", k, n, got, want)
+				}
+			}
+		}
 	}
 }

@@ -22,6 +22,9 @@ const (
 	// engineered weak-cell tiers behind the Fig. 11 analysis.
 	weakTier64MS  = 64
 	weakTier128MS = 128
+	// retentionNoiseSigma is the log-domain sigma of the per-iteration
+	// measurement noise on a row's elapsed time.
+	retentionNoiseSigma = 0.05
 )
 
 // retentionAnchor holds per-manufacturer calibration anchors read off
@@ -205,8 +208,48 @@ const weakVoltageExponent = 3
 // the module's VPPmin and recovers steeply at higher voltages.
 func (r retentionModel) weakFailed(c weakCell, elapsedMS, v, tempC float64) bool {
 	accel := math.Pow(2, (tempC-retentionTempRefC)/10)
-	tau := c.tierMS * math.Pow(r.rho(v)/r.rho(r.vppMin), weakVoltageExponent)
-	return elapsedMS*accel >= tau
+	return elapsedMS*accel >= r.weakTauMS(c, v)
+}
+
+// weakTauMS returns a weak cell's retention time at voltage v and the
+// reference temperature.
+func (r retentionModel) weakTauMS(c weakCell, v float64) float64 {
+	return c.tierMS * math.Pow(r.rho(v)/r.rho(r.vppMin), weakVoltageExponent)
+}
+
+// RetentionQuietMS returns a row's retention-quiet elapsed time at voltage
+// vpp and die temperature tempC: for every measurement iteration and every
+// elapsed time below it, RetentionFlipPositions is empty. A read that comes
+// sooner than this after the row was written or refreshed therefore needs
+// no retention model at all. The bound does not depend on the iteration.
+//
+// Derivation. With accel = 2^((tempC-80)/10), the row's bulk cells fail in
+// BulkCount = int(p·n + flipFrac) where p = bulkProb(elapsed·noise) is zero
+// unless the effective time tEff = elapsed·noise·accel / (ρ(vpp)·λ) exceeds
+// retentionFloorMS (Φ and ln are monotone, and the floor's CDF mass is
+// subtracted). The iteration noise is exp(0.05·z) with |z| <= maxNormAbs,
+// so noise <= exp(0.05·maxNormAbs) and p = 0 whenever
+//
+//	elapsed <= retentionFloorMS·ρ·λ / (accel·exp(0.05·maxNormAbs)).
+//
+// flipFrac < 1, so p = 0 gives a bulk count of zero. A weak cell reads
+// flipped only once elapsed·accel >= its τ = tierMS·(ρ(vpp)/ρ(VPPmin))³, so
+// none does while elapsed < min τ / accel. The bound is the smaller of the
+// two, shrunk by a relative 1e-6 so that rounding in the model's own
+// evaluation of these products cannot reach the threshold. Below VPPmin the
+// module reads nothing and the bound is +Inf.
+func (m *DeviceModel) RetentionQuietMS(bank, rowAddr int, vpp, tempC float64) float64 {
+	if vpp < m.prof.VPPMin-1e-9 {
+		return math.Inf(1)
+	}
+	r := &m.retention
+	rp := m.row(bank, rowAddr)
+	accel := math.Pow(2, (tempC-retentionTempRefC)/10)
+	quiet := retentionFloorMS * r.rho(vpp) * rp.retLambda / (accel * math.Exp(retentionNoiseSigma*maxNormAbs))
+	for _, c := range rp.weak {
+		quiet = min(quiet, r.weakTauMS(c, vpp)/accel)
+	}
+	return quiet * (1 - 1e-6)
 }
 
 // RetentionFlipPositions returns the bit positions in a row that have
@@ -249,7 +292,7 @@ type RowRetention struct {
 func (m *DeviceModel) RowRetention(bank, rowAddr int, vpp, tempC float64, iter int) RowRetention {
 	return RowRetention{
 		m: m, rp: m.row(bank, rowAddr), bank: bank, row: rowAddr, vpp: vpp, tempC: tempC,
-		noise: math.Exp(m.root.Derive("rnoise", bank, rowAddr, iter).Normal(0, 0.05)),
+		noise: math.Exp(m.root.Derive("rnoise", bank, rowAddr, iter).Normal(0, retentionNoiseSigma)),
 	}
 }
 

@@ -311,3 +311,48 @@ func TestRetentionFlipPositionsDedupWeakCells(t *testing.T) {
 		t.Errorf("checked %d reads with %d weak/bulk overlaps; want both > 0", checked, overlaps)
 	}
 }
+
+// TestRetentionQuietBound: just under a row's retention-quiet bound no cell
+// reads flipped in any iteration — the bulk failure probability is exactly
+// zero at every iteration's noise, and RetentionFlipPositions is empty —
+// across rows, voltages down to VPPmin, temperatures and iterations. The
+// bound stays far above the tens of nanoseconds between an Alg. 2 write and
+// read, and it is tight for weak-cell rows: a little past it, a weak cell
+// reads flipped.
+func TestRetentionQuietBound(t *testing.T) {
+	tight, lowest := 0, math.Inf(1)
+	for _, name := range []string{"A0", "B3", "B6", "C0", "C5"} {
+		m := newTestModel(t, name)
+		p := m.Profile()
+		for _, v := range []float64{VPPNominal, (VPPNominal + p.VPPMin) / 2, p.VPPMin} {
+			for _, temp := range []float64{RowHammerTestTempC, RetentionTestTempC, 95} {
+				for row := 0; row < 300; row++ {
+					quiet := m.RetentionQuietMS(0, row, v, temp)
+					lowest = min(lowest, quiet)
+					under := math.Nextafter(quiet, 0)
+					for iter := 0; iter < 10; iter++ {
+						r := m.RowRetention(0, row, v, temp, iter)
+						if pr := m.retention.bulkProb(under*r.noise, v, temp, r.rp.retLambda); pr != 0 {
+							t.Fatalf("%s row %d VPP %v %v°C iter %d: bulk failure probability %v just under the quiet bound %v ms",
+								name, row, v, temp, iter, pr, quiet)
+						}
+						if flips := m.RetentionFlipPositions(0, row, v, under, temp, iter); len(flips) != 0 {
+							t.Fatalf("%s row %d VPP %v %v°C iter %d: %d flips just under the quiet bound %v ms",
+								name, row, v, temp, iter, len(flips), quiet)
+						}
+					}
+					if len(m.RetentionFlipPositions(0, row, v, quiet*(1+2e-6), temp, 0)) > 0 {
+						tight++
+					}
+				}
+			}
+		}
+	}
+	if lowest < 0.01 {
+		t.Errorf("lowest quiet bound %v ms is within 10 µs of a write", lowest)
+	}
+	if tight == 0 {
+		t.Error("no row reads flipped just past its quiet bound")
+	}
+	t.Logf("lowest bound %.3g ms; %d rows flip just past it", lowest, tight)
+}

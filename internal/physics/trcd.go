@@ -163,18 +163,38 @@ func (r *RowTRCD) ColumnReqNS(col int) float64 {
 	return req
 }
 
+// AtIter returns the row's state for measurement iteration iter. The
+// worst-column requirement and SafeNS do not depend on the iteration, so
+// they carry over.
+func (r RowTRCD) AtIter(iter int) RowTRCD {
+	r.iter = iter
+	return r
+}
+
+// Violated reports whether column col read trcdNS after activation returns
+// flipped bits: exactly when AppendFlips appends at least one position.
+func (r *RowTRCD) Violated(col int, trcdNS float64) bool {
+	return r.shortfall(col, trcdNS) > 0
+}
+
+// shortfall returns how far trcdNS falls short of column col's
+// requirement, or 0 when the read is reliable. A latency at or past SafeNS
+// is reliable in every column without deriving the column's requirement.
+func (r *RowTRCD) shortfall(col int, trcdNS float64) float64 {
+	if trcdNS >= r.SafeNS() {
+		return 0
+	}
+	return max(0, r.ColumnReqNS(col)-trcdNS)
+}
+
 // AppendFlips appends to dst the bit positions TRCDFlipPositions reports
 // for column col read trcdNS after activation, and returns the extended
 // slice.
 func (r *RowTRCD) AppendFlips(dst []int32, col int, trcdNS float64) []int32 {
-	if trcdNS >= r.SafeNS() {
+	shortfall := r.shortfall(col, trcdNS)
+	if shortfall <= 0 {
 		return dst
 	}
-	req := r.ColumnReqNS(col)
-	if trcdNS >= req {
-		return dst
-	}
-	shortfall := req - trcdNS
 	nf := 1 + int(shortfall/0.4)
 	const colBits = 64 * 8
 	if nf > colBits {

@@ -88,7 +88,12 @@ func (c *Controller) quantize(ns float64) float64 {
 // advance moves the command clock forward by ns nanoseconds, aligned to the
 // command quantum.
 func (c *Controller) advance(ns float64) {
-	c.now += dram.NSToPS(c.quantize(ns))
+	c.now += c.span(ns)
+}
+
+// span returns the command-clock time advance(ns) moves by.
+func (c *Controller) span(ns float64) dram.PS {
+	return dram.NSToPS(c.quantize(ns))
 }
 
 // Ping verifies the module responds at the current VPP by opening and
@@ -198,6 +203,61 @@ func (c *Controller) ReadColumn(bank, row, col int) ([]byte, error) {
 	}
 	c.advance(c.timing.TRP)
 	return d, nil
+}
+
+// ProbeRowTRCD is one iteration of Alg. 2's check of a row at the
+// programmed tRCD: for each column in order it re-initializes the row with
+// fill at nominal timing (InitializeRow) and reads the column back at the
+// programmed tRCD (ReadColumn), and it stops after the first column whose
+// burst differs from fill. It returns that column, or -1 when every column
+// reads clean, and leaves nominal timing with the programmed tRCD.
+//
+// The module runs the whole command stream in one call when it can vouch
+// for the outcome (dram.Module.ProbeColumns); otherwise the commands are
+// issued column by column. Either way the device and the controller end
+// exactly where the per-column commands leave them.
+func (c *Controller) ProbeRowTRCD(bank, row int, fill byte) (int, error) {
+	initTiming, readTiming := NominalTiming(), NominalTiming()
+	readTiming.TRCD = c.timing.TRCD
+	c.timing = readTiming
+
+	// The schedule InitializeRow and ReadColumn would issue.
+	p := dram.ColumnProbe{Image: c.rowImage(fill), Write: c.span(initTiming.TRCD)}
+	p.InitPre = p.Write + c.span(initTiming.TRAS)
+	p.ReadAct = p.InitPre + c.span(initTiming.TRP)
+	p.Read = p.ReadAct + c.span(readTiming.TRCD)
+	p.ReadPre = p.Read
+	if rest := readTiming.TRAS - readTiming.TRCD; rest > 0 {
+		p.ReadPre += c.span(rest)
+	}
+	p.Period = p.ReadPre + c.span(readTiming.TRP)
+
+	cols := c.mod.Geometry().Columns()
+	if col, ok := c.mod.ProbeColumns(c.now, bank, row, p); ok {
+		steps := cols
+		if col >= 0 {
+			steps = col + 1
+		}
+		c.now += dram.PS(steps) * p.Period
+		return col, nil
+	}
+	for col := 0; col < cols; col++ {
+		c.timing = initTiming
+		if err := c.InitializeRow(bank, row, fill); err != nil {
+			return -1, err
+		}
+		c.timing = readTiming
+		data, err := c.ReadColumn(bank, row, col)
+		if err != nil {
+			return -1, err
+		}
+		for _, got := range data {
+			if got != fill {
+				return col, nil
+			}
+		}
+	}
+	return -1, nil
 }
 
 // Hammer performs count activate/precharge cycles of a single row
