@@ -244,6 +244,31 @@ func BenchmarkCharacterizeRowTRCD(b *testing.B) {
 	b.ReportMetric(last, "tRCDmin-ns")
 }
 
+// BenchmarkMeasureBER times one measure_BER step of Alg. 1 at paper
+// geometry (128-column rows): fill the victim and its two aggressors, hammer
+// double-sided, and count the victim's mismatches at the safe read latency.
+// It reports the last measured BER.
+func BenchmarkMeasureBER(b *testing.B) {
+	prof, _ := physics.ProfileByName("B3")
+	geom := physics.FullGeometry()
+	tb := infra.NewTestbed(prof, geom, 2022)
+	if err := tb.SetVPP(prof.VPPMin); err != nil {
+		b.Fatal(err)
+	}
+	tester := core.NewTester(tb.Controller, core.Default())
+	rows := core.SelectRows(geom, 4, 2)
+	var last float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ber, err := tester.MeasureBER(rows[i%len(rows)]+1, pattern.CheckerAA, 300_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = ber
+	}
+	b.ReportMetric(last, "BER")
+}
+
 func BenchmarkSection61Guardband(b *testing.B) {
 	// A broad passing-module sample: the 1.5ns measurement grid quantizes
 	// per-module reductions to 0 or >=1 step, so the mean needs population.

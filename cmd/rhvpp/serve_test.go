@@ -18,8 +18,8 @@ import (
 // TestCLIAndHTTPReportIdenticalErrors pins the shared option surface: an
 // invalid knob given as a CLI flag and as a query parameter must be rejected
 // with the same text, whether the rejection comes from parsing (an unknown
-// knob) or from Options.Validate (a negative size, a row selection larger
-// than the bank, a non-finite tolerance).
+// knob) or from Options.Validate (a negative size, a size past its cap, a
+// row selection larger than the bank, a non-finite tolerance).
 func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 	hs := httptest.NewServer(server.New(server.Config{Base: rhvpp.GoldenOptions()}).Handler())
 	defer hs.Close()
@@ -38,6 +38,10 @@ func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 		{"rows", "3037000500"},
 		{"rows", "100000000000"},
 		{"rows", "2049"},
+		{"mc", "100001"},
+		{"mc", "50000000"},
+		{"jobs", "1025"},
+		{"jobs", "1073741824"},
 	} {
 		var out bytes.Buffer
 		cliErr := run(t.Context(), []string{"-preset", "golden", "-exp", "fig8b", "-" + tc.flag, tc.value}, &out)

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/dramstudy/rhvpp/internal/pattern"
 	"github.com/dramstudy/rhvpp/internal/softmc"
 )
 
@@ -194,14 +193,13 @@ func Execute(ctrl *softmc.Controller, tgt Target, pat Pattern, budget, refEvery 
 	if err := pat.Run(ctrl, tgt, budget, refEvery); err != nil {
 		return Result{}, err
 	}
-	data, err := ctrl.ReadRowSafe(tgt.Bank, tgt.Victim)
+	flips, err := ctrl.ReadRowSafeMismatch(tgt.Bank, tgt.Victim, fill)
 	if err != nil {
 		return Result{}, err
 	}
-	flips := pattern.RowStripeFF.CountMismatch(data)
 	return Result{
 		Pattern: pat.Name(),
 		Flips:   flips,
-		BER:     float64(flips) / float64(len(data)*8),
+		BER:     float64(flips) / float64(ctrl.Module().Geometry().RowBytes*8),
 	}, nil
 }

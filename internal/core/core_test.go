@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/dram"
@@ -654,5 +655,40 @@ func TestRetentionFirstFailCleanRow(t *testing.T) {
 	}
 	if first != 0 {
 		t.Errorf("clean row reported first failure at %vms", first)
+	}
+}
+
+// TestMeasureBERAllocsIndependentOfColumns is MeasureBER's allocation
+// witness: a measurement on a 128-column row makes no more allocations, and
+// allocates no more bytes, than one on a 16-column row. The rows are filled
+// by byte and counted through the module's flip mask, so no row image is
+// built, copied or kept per measurement.
+func TestMeasureBERAllocsIndependentOfColumns(t *testing.T) {
+	p, _ := physics.ProfileByName("B3")
+	const runs = 20
+	allocs, bytes := map[int]float64{}, map[int]uint64{}
+	for _, cols := range []int{16, 128} {
+		g := testGeometry()
+		g.RowBytes = cols * dram.BurstBytes
+		tr := NewTester(softmc.New(dram.NewModule(p, g, 11, dram.WithScheme(mapping.Direct{}))), Default())
+		measure := func() {
+			if ber, err := tr.MeasureBER(300, pattern.CheckerAA, 300_000); err != nil || ber == 0 {
+				t.Fatalf("%d cols: MeasureBER = %v, %v; want flips", cols, ber, err)
+			}
+		}
+		measure() // first use samples the rows' physics and the flip mask
+		allocs[cols] = testing.AllocsPerRun(runs, measure)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			measure()
+		}
+		runtime.ReadMemStats(&after)
+		bytes[cols] = (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	t.Logf("per MeasureBER: %v allocations, %d bytes at 16 columns; %v, %d bytes at 128", allocs[16], bytes[16], allocs[128], bytes[128])
+	if allocs[128] > allocs[16] || bytes[128] > bytes[16] {
+		t.Errorf("MeasureBER allocation grows with the column count: %v allocations, %d bytes at 16 columns; %v, %d bytes at 128",
+			allocs[16], bytes[16], allocs[128], bytes[128])
 	}
 }

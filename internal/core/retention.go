@@ -49,11 +49,11 @@ func (t *Tester) measureRetentionBER(row int, pat pattern.Kind, windowMS float64
 	if err := t.ctrl.WaitMS(windowMS); err != nil {
 		return 0, err
 	}
-	data, err := t.ctrl.ReadRowSafe(b, row)
+	flips, err := t.ctrl.ReadRowSafeMismatch(b, row, pat.Byte())
 	if err != nil {
 		return 0, err
 	}
-	return float64(pat.CountMismatch(data)) / float64(len(data)*8), nil
+	return float64(flips) / float64(t.rowBits()), nil
 }
 
 // RetentionSweep implements Alg. 3 for one row: BER across the ladder of

@@ -107,13 +107,15 @@ func (t *Tester) MeasureBER(victim int, pat pattern.Kind, hc int) (float64, erro
 	// Read with the conservative safe latency: on modules whose tRCDmin
 	// exceeds the nominal value at reduced VPP, a nominal-timing read would
 	// corrupt data and masquerade as RowHammer flips.
-	data, err := t.ctrl.ReadRowSafe(b, victim)
+	flips, err := t.ctrl.ReadRowSafeMismatch(b, victim, pat.Byte())
 	if err != nil {
 		return 0, err
 	}
-	flips := pat.CountMismatch(data)
-	return float64(flips) / float64(len(data)*8), nil
+	return float64(flips) / float64(t.rowBits()), nil
 }
+
+// rowBits is the number of bits in a row, the BER denominator.
+func (t *Tester) rowBits() int { return t.ctrl.Module().Geometry().RowBytes * 8 }
 
 // measureBEREach repeats MeasureBER n times, handing each per-iteration
 // value to f as it is measured — the one iteration/interrupt/error loop

@@ -6,8 +6,20 @@ import (
 	"strings"
 )
 
+// content returns the row's stored content as bytes, whether it is held as
+// a fill byte or a dense image, or nil for a row never written.
+func (rs *rowState) content(rowBytes int) []byte {
+	if !rs.written() {
+		return nil
+	}
+	out := make([]byte, rowBytes)
+	rs.copyContent(out, 0)
+	return out
+}
+
 // StateString renders every piece of mutable device state — time, operating
-// point, each bank's open row and refresh cursor, each tracked row's image,
+// point, each bank's open row and refresh cursor, each tracked row's content
+// (a uniform row as its bytes, so both representations render alike),
 // write epoch, last write and exposure, and the TRR engine — so tests outside
 // the package can compare two modules' complete state.
 func (m *Module) StateString() string {
@@ -24,7 +36,7 @@ func (m *Module) StateString() string {
 		for _, p := range phys {
 			rs := bk.rows[p]
 			fmt.Fprintf(&b, "  row %d: epoch=%d last=%d lo=%v hi=%v d2=%v data=%x\n",
-				p, rs.writeEpoch, rs.lastWrite, rs.hammerLo, rs.hammerHi, rs.hammerD2, rs.data)
+				p, rs.writeEpoch, rs.lastWrite, rs.hammerLo, rs.hammerHi, rs.hammerD2, rs.content(m.geom.RowBytes))
 		}
 	}
 	switch e := m.trr.(type) {

@@ -15,8 +15,10 @@
 package dram
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/dramstudy/rhvpp/internal/mapping"
 	"github.com/dramstudy/rhvpp/internal/physics"
@@ -58,9 +60,15 @@ func MSToPS(ms float64) PS { return PS(ms * float64(PSPerMS)) }
 // (64 bits x BL8 across the rank).
 const BurstBytes = 64
 
-// rowState is the mutable per-row device state.
+// rowState is the mutable per-row device state. A row's stored content is
+// held in one of two forms: uniform (every byte is fill), which FillRow
+// writes for the characterization algorithms, or a dense image, which Write
+// and WriteRow store and a refresh builds when it latches flips. A row
+// never written holds neither and reads as zeros.
 type rowState struct {
-	data       []byte // last written image; nil if never written
+	data       []byte // dense image; nil when uniform or never written
+	fill       byte   // every byte of the content, when uniform
+	uniform    bool   // content is fill throughout (data is nil)
 	writeEpoch int    // counts full-row writes; keys measurement noise
 	lastWrite  PS     // time of last full-row write or refresh
 
@@ -94,6 +102,7 @@ type Module struct {
 	trr   trrDefense
 
 	trcdFlips []int32 // reused by read for each burst's tRCD flips
+	mask      []byte  // ReadRowMismatch's flip mask, all zero between calls
 }
 
 // Option configures a Module.
@@ -212,6 +221,57 @@ func (bk *bankState) row(phys int) *rowState {
 	return rs
 }
 
+// written reports whether the row holds defined content.
+func (rs *rowState) written() bool { return rs.uniform || rs.data != nil }
+
+// setFill stores uniform content, dropping any dense image.
+func (rs *rowState) setFill(fill byte) {
+	rs.data, rs.fill, rs.uniform = nil, fill, true
+}
+
+// dense returns the row's content as a dense image of rowBytes, building
+// it from the fill (or zeros, for a row never written) the first time.
+func (rs *rowState) dense(rowBytes int) []byte {
+	if rs.data == nil {
+		rs.data = make([]byte, rowBytes)
+		if rs.uniform {
+			fillBytes(rs.data, rs.fill)
+		}
+		rs.uniform = false
+	}
+	return rs.data
+}
+
+// copyContent writes the row's content from byte off on into out, which
+// must be zero on entry.
+func (rs *rowState) copyContent(out []byte, off int) {
+	switch {
+	case rs.data != nil:
+		copy(out, rs.data[off:])
+	case rs.uniform:
+		fillBytes(out, rs.fill)
+	}
+}
+
+// fillBytes sets every byte of b to v.
+func fillBytes(b []byte, v byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = v
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
+}
+
+// rewrite resets the row's write epoch, retention clock and disturbance
+// exposure, as a full-row write or a refresh does.
+func (rs *rowState) rewrite(t PS) {
+	rs.writeEpoch++
+	rs.lastWrite = t
+	rs.hammerLo, rs.hammerHi, rs.hammerD2 = 0, 0, 0
+}
+
 // Activate opens a row (logical address) in a bank at time t.
 func (m *Module) Activate(t PS, bankIdx, logicalRow int) error {
 	return m.activateN(t, bankIdx, logicalRow, 1)
@@ -320,33 +380,99 @@ func (m *Module) ReadRow(t0, step PS, bankIdx int) ([]byte, error) {
 	return m.read(t0, step, bankIdx, 0, m.geom.Columns())
 }
 
-// read is the one read path behind Read and ReadRow: ncols column bursts
-// starting at column col0, the i-th issued at t0 + i·step.
+// ReadRowMismatch is ReadRow followed by a count of the bits that differ
+// from fill: it returns exactly the mismatch count of the bytes ReadRow
+// would return and leaves exactly the device state ReadRow would leave, but
+// builds no row image. The flips are resolved into the module's all-zero
+// flip mask, counted as they are toggled, and the mask is cleared again.
+// When the row holds fill throughout, that count is the answer; otherwise
+// (a dense row, a row never written, or another fill) the row's content
+// XOR the mask is compared with fill word by word.
+func (m *Module) ReadRowMismatch(t0, step PS, bankIdx int, fill byte) (int, error) {
+	ncols := m.geom.Columns()
+	bk, rs, err := m.openForRead(t0, step, bankIdx, 0, ncols)
+	if err != nil {
+		return 0, err
+	}
+	if len(m.mask) != m.geom.RowBytes {
+		m.mask = make([]byte, m.geom.RowBytes)
+	}
+	sp := span{out: m.mask, t0: t0, step: step}
+	m.flipSpan(&sp, bankIdx, bk, rs)
+	n := sp.set
+	if !rs.uniform || rs.fill != fill {
+		n = rs.mismatch(sp.out, fill)
+	}
+	if sp.set != 0 {
+		clear(sp.out)
+	}
+	return n, nil
+}
+
+// mismatch counts the bits of the row's content XOR mask that differ from
+// fill, eight bytes at a time (rows are whole bursts, so whole words).
+func (rs *rowState) mismatch(mask []byte, fill byte) int {
+	const ones = 0x0101_0101_0101_0101
+	want := uint64(fill) * ones
+	n := 0
+	if rs.data != nil {
+		for i := 0; i < len(mask); i += 8 {
+			n += bits.OnesCount64(binary.LittleEndian.Uint64(rs.data[i:]) ^ binary.LittleEndian.Uint64(mask[i:]) ^ want)
+		}
+		return n
+	}
+	if rs.uniform {
+		want ^= uint64(rs.fill) * ones
+	}
+	for i := 0; i < len(mask); i += 8 {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(mask[i:]) ^ want)
+	}
+	return n
+}
+
+// read is the one image-building read path behind Read and ReadRow: ncols
+// column bursts starting at column col0, the i-th issued at t0 + i·step.
+// The span starts as the row's content and takes its flips in place.
 func (m *Module) read(t0, step PS, bankIdx, col0, ncols int) ([]byte, error) {
-	if step < 0 {
-		return nil, fmt.Errorf("%w: column step %d", ErrTimeRegression, step)
-	}
-	if err := m.checkTime(t0); err != nil {
-		return nil, err
-	}
-	bk, err := m.bank(bankIdx)
+	bk, rs, err := m.openForRead(t0, step, bankIdx, col0, ncols)
 	if err != nil {
 		return nil, err
 	}
+	sp := span{out: make([]byte, ncols*BurstBytes), base: int32(col0 * BurstBytes * 8), t0: t0, step: step}
+	rs.copyContent(sp.out, col0*BurstBytes)
+	m.flipSpan(&sp, bankIdx, bk, rs)
+	return sp.out, nil
+}
+
+// openForRead checks a read of ncols bursts from column col0 of the open
+// row of a bank, issued from t0 step apart, advances the clock to its last
+// burst, and returns the bank and the open row's state.
+func (m *Module) openForRead(t0, step PS, bankIdx, col0, ncols int) (*bankState, *rowState, error) {
+	if step < 0 {
+		return nil, nil, fmt.Errorf("%w: column step %d", ErrTimeRegression, step)
+	}
+	if err := m.checkTime(t0); err != nil {
+		return nil, nil, err
+	}
+	bk, err := m.bank(bankIdx)
+	if err != nil {
+		return nil, nil, err
+	}
 	if bk.openRow < 0 {
-		return nil, ErrBankClosed
+		return nil, nil, ErrBankClosed
 	}
 	if col0 < 0 || col0+ncols > m.geom.Columns() {
-		return nil, fmt.Errorf("%w: column %d", ErrBadAddress, col0)
+		return nil, nil, fmt.Errorf("%w: column %d", ErrBadAddress, col0)
 	}
 	m.now = t0 + PS(ncols-1)*step
-	phys := bk.openRow
-	rs := bk.row(phys)
+	return bk, bk.row(bk.openRow), nil
+}
 
-	sp := span{out: make([]byte, ncols*BurstBytes), base: int32(col0 * BurstBytes * 8), t0: t0, step: step}
-	if rs.data != nil {
-		copy(sp.out, rs.data[col0*BurstBytes:])
-	}
+// flipSpan toggles into sp every bit flip the open row shows at its bursts'
+// read times: RowHammer disturbance, retention loss, and each column's
+// activation-timing violations.
+func (m *Module) flipSpan(sp *span, bankIdx int, bk *bankState, rs *rowState) {
+	phys := bk.openRow
 
 	// RowHammer flips from accumulated neighbor activations.
 	if hcEq := rs.doubleSidedEquivalent(); hcEq > 0 {
@@ -359,11 +485,13 @@ func (m *Module) read(t0, step PS, bankIdx, col0, ncols int) ([]byte, error) {
 	}
 
 	// Retention flips from unrefreshed time.
-	if rs.data != nil {
-		m.readRetention(&sp, bankIdx, phys, rs)
+	if rs.written() {
+		m.readRetention(sp, bankIdx, phys, rs)
 	}
 
 	// Activation-timing violations, each column at its own latency.
+	ncols := len(sp.out) / BurstBytes
+	col0 := int(sp.base) / (BurstBytes * 8)
 	trcd := m.model.RowTRCD(bankIdx, phys, m.vpp, rs.writeEpoch)
 	for i := 0; i < ncols; i++ {
 		trcdNS := float64(sp.at(i)-bk.openedAt) / float64(PSPerNS)
@@ -372,14 +500,17 @@ func (m *Module) read(t0, step PS, bankIdx, col0, ncols int) ([]byte, error) {
 			sp.flip(pos)
 		}
 	}
-	return sp.out, nil
 }
 
-// span is the image of consecutive column bursts being read.
+// span holds the bits of consecutive column bursts being read: the row's
+// content for an image read, or a flip mask starting at zero. It counts
+// the net change in its set bits as flips toggle them, which for a mask is
+// its number of set bits.
 type span struct {
 	out      []byte
 	base     int32 // row-relative bit position of out's first bit
 	t0, step PS    // read time of the first burst, and between bursts
+	set      int   // bits set by flip minus bits cleared by it
 }
 
 // at returns the read time of the span's i-th burst.
@@ -398,7 +529,9 @@ func (sp *span) column(pos int32) int {
 // flip inverts a row-relative bit position if the span covers it.
 func (sp *span) flip(pos int32) {
 	if rel := pos - sp.base; rel >= 0 && int(rel) < len(sp.out)*8 {
-		sp.out[rel/8] ^= 1 << uint(rel%8)
+		b, sh := &sp.out[rel/8], uint(rel%8)
+		sp.set += 1 - 2*int(*b>>sh&1)
+		*b ^= 1 << sh
 	}
 }
 
@@ -456,11 +589,11 @@ func (m *Module) retentionMayFlip(bankIdx, phys int, elapsedMS float64) bool {
 }
 
 // ColumnProbe is the command schedule of one step of Alg. 2's per-column
-// loop, as offsets from the step's first ACT: the row is opened, written
-// whole with Image and closed (initialize_row), then opened again, one
+// loop, as offsets from the step's first ACT: the row is opened, filled
+// whole with Fill and closed (initialize_row), then opened again, one
 // column burst is read, and the row is closed.
 type ColumnProbe struct {
-	Image          []byte
+	Fill           byte
 	Write, InitPre PS // the full-row WR and the PRE closing it
 	ReadAct, Read  PS // the second ACT and the RD burst
 	ReadPre        PS // the PRE closing the read
@@ -469,9 +602,9 @@ type ColumnProbe struct {
 
 // ProbeColumns runs p's step for columns 0, 1, ... of a row, the c-th
 // step starting at t0 + c·Period, and stops after the first column whose
-// burst differs from the image written, returning that column, or -1 when
+// burst differs from the fill written, returning that column, or -1 when
 // every column reads clean. The result and the device state it leaves (time, row
-// image, write epoch and last write, the neighbors' exposure, the bank) are
+// content, write epoch and last write, the neighbors' exposure, the bank) are
 // exactly those of issuing every step's commands one by one, but the row's
 // physics is resolved once: each step rewrites the row, so its burst holds
 // no hammer flips, and the read comes before the row's retention-quiet
@@ -486,7 +619,7 @@ type ColumnProbe struct {
 func (m *Module) ProbeColumns(t0 PS, bankIdx, logicalRow int, p ColumnProbe) (col int, ok bool) {
 	inOrder := 0 <= p.Write && p.Write <= p.InitPre && p.InitPre <= p.ReadAct &&
 		p.ReadAct <= p.Read && p.Read <= p.ReadPre && p.ReadPre <= p.Period
-	if m.trr != nil || !inOrder || len(p.Image) != m.geom.RowBytes || t0 < m.now || !m.Responds() ||
+	if m.trr != nil || !inOrder || t0 < m.now || !m.Responds() ||
 		bankIdx < 0 || bankIdx >= len(m.banks) || m.checkRow(logicalRow) != nil {
 		return -1, false
 	}
@@ -510,13 +643,9 @@ func (m *Module) ProbeColumns(t0 PS, bankIdx, logicalRow int, p ColumnProbe) (co
 
 	last := t0 + PS(steps-1)*p.Period
 	m.expose(bk, phys, float64(2*steps)) // two activations per step
-	if rs.data == nil {
-		rs.data = make([]byte, m.geom.RowBytes)
-	}
-	copy(rs.data, p.Image)
-	rs.writeEpoch += steps
-	rs.lastWrite = last + p.Write
-	rs.hammerLo, rs.hammerHi, rs.hammerD2 = 0, 0, 0
+	rs.setFill(p.Fill)
+	rs.rewrite(last + p.Write)
+	rs.writeEpoch += steps - 1 // one full-row write per step
 	bk.openedAt = last + p.ReadAct
 	m.now = last + p.ReadPre
 	return first, true
@@ -536,14 +665,18 @@ func (rs *rowState) doubleSidedEquivalent() float64 {
 	return minSide + physics.SingleSidedWeight*diff + physics.DistanceTwoWeight*rs.hammerD2
 }
 
-// dominantPattern infers the victim-row data pattern from the stored image
-// so the physics model can apply its data-pattern dependence. Rows holding
-// non-canonical data use the strongest pattern's behavior.
+// dominantPattern infers the victim-row data pattern from the stored
+// content's first byte so the physics model can apply its data-pattern
+// dependence. Rows holding non-canonical data use the strongest pattern's
+// behavior.
 func (m *Module) dominantPattern(rs *rowState) patternKind {
-	if rs.data == nil || len(rs.data) == 0 {
-		return defaultPattern
+	switch {
+	case rs.uniform:
+		return patternFromByte(rs.fill)
+	case rs.data != nil:
+		return patternFromByte(rs.data[0])
 	}
-	return patternFromByte(rs.data[0])
+	return defaultPattern
 }
 
 // Write performs a WR burst into the open row of a bank.
@@ -564,11 +697,7 @@ func (m *Module) Write(t PS, bankIdx, col int, data []byte) error {
 	if len(data) != BurstBytes {
 		return fmt.Errorf("%w: burst must be %d bytes, got %d", ErrBadAddress, BurstBytes, len(data))
 	}
-	rs := bk.row(bk.openRow)
-	if rs.data == nil {
-		rs.data = make([]byte, m.geom.RowBytes)
-	}
-	copy(rs.data[col*BurstBytes:], data)
+	copy(bk.row(bk.openRow).dense(m.geom.RowBytes)[col*BurstBytes:], data)
 	return nil
 }
 
@@ -577,32 +706,51 @@ func (m *Module) Write(t PS, bankIdx, col int, data []byte) error {
 // (the initialize_row step of the paper's algorithms). The bank must have
 // the row open.
 func (m *Module) WriteRow(t PS, bankIdx, logicalRow int, image []byte) error {
-	if err := m.checkTime(t); err != nil {
-		return err
-	}
-	bk, err := m.bank(bankIdx)
+	bk, phys, err := m.openForRewrite(t, bankIdx, logicalRow)
 	if err != nil {
 		return err
-	}
-	if err := m.checkRow(logicalRow); err != nil {
-		return err
-	}
-	phys := m.scheme.LogicalToPhysical(logicalRow)
-	if bk.openRow != phys {
-		return fmt.Errorf("%w: row %d not open", ErrBankClosed, logicalRow)
 	}
 	if len(image) != m.geom.RowBytes {
 		return fmt.Errorf("%w: row image must be %d bytes, got %d", ErrBadAddress, m.geom.RowBytes, len(image))
 	}
 	rs := bk.row(phys)
-	if rs.data == nil {
-		rs.data = make([]byte, m.geom.RowBytes)
-	}
-	copy(rs.data, image)
-	rs.writeEpoch++
-	rs.lastWrite = t
-	rs.hammerLo, rs.hammerHi, rs.hammerD2 = 0, 0, 0
+	rs.uniform = false
+	copy(rs.dense(m.geom.RowBytes), image)
+	rs.rewrite(t)
 	return nil
+}
+
+// FillRow is WriteRow of an image holding fill in every byte, without the
+// image.
+func (m *Module) FillRow(t PS, bankIdx, logicalRow int, fill byte) error {
+	bk, phys, err := m.openForRewrite(t, bankIdx, logicalRow)
+	if err != nil {
+		return err
+	}
+	rs := bk.row(phys)
+	rs.setFill(fill)
+	rs.rewrite(t)
+	return nil
+}
+
+// openForRewrite checks a full-row write of a logical row at time t and
+// returns its bank and physical row.
+func (m *Module) openForRewrite(t PS, bankIdx, logicalRow int) (*bankState, int, error) {
+	if err := m.checkTime(t); err != nil {
+		return nil, 0, err
+	}
+	bk, err := m.bank(bankIdx)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := m.checkRow(logicalRow); err != nil {
+		return nil, 0, err
+	}
+	phys := m.scheme.LogicalToPhysical(logicalRow)
+	if bk.openRow != phys {
+		return nil, 0, fmt.Errorf("%w: row %d not open", ErrBankClosed, logicalRow)
+	}
+	return bk, phys, nil
 }
 
 // RefreshRow refreshes one row (logical address): the row's current content
@@ -630,7 +778,7 @@ func (m *Module) RefreshRow(t PS, bankIdx, logicalRow int) error {
 // permanent) and resets its charge state.
 func (m *Module) refreshPhys(t PS, bankIdx int, bk *bankState, phys int) {
 	rs, ok := bk.rows[phys]
-	if !ok || rs.data == nil {
+	if !ok || !rs.written() {
 		// Never-written rows have no defined content to preserve.
 		if ok {
 			rs.hammerLo, rs.hammerHi, rs.hammerD2 = 0, 0, 0
@@ -638,21 +786,25 @@ func (m *Module) refreshPhys(t PS, bankIdx int, bk *bankState, phys int) {
 		}
 		return
 	}
-	// Materialize hammer flips into the stored image.
+	// Materialize hammer and retention flips into the stored content,
+	// which stops being uniform once a flip lands.
+	latch := func(positions []int32) {
+		if len(positions) == 0 {
+			return
+		}
+		data := rs.dense(m.geom.RowBytes)
+		for _, pos := range positions {
+			data[pos/8] ^= 1 << uint(pos%8)
+		}
+	}
 	if hcEq := rs.doubleSidedEquivalent(); hcEq > 0 {
 		pat := m.dominantPattern(rs)
 		n := m.model.HammerFlipCount(bankIdx, phys, pat, m.vpp, hcEq, m.tempC, rs.writeEpoch)
-		for _, pos := range m.model.HammerFlipPositions(bankIdx, phys, n) {
-			rs.data[pos/8] ^= 1 << uint(pos%8)
-		}
+		latch(m.model.HammerFlipPositions(bankIdx, phys, n))
 	}
 	elapsedMS := float64(t-rs.lastWrite) / float64(PSPerMS)
-	for _, pos := range m.model.RetentionFlipPositions(bankIdx, phys, m.vpp, elapsedMS, m.tempC, rs.writeEpoch) {
-		rs.data[pos/8] ^= 1 << uint(pos%8)
-	}
-	rs.writeEpoch++
-	rs.lastWrite = t
-	rs.hammerLo, rs.hammerHi, rs.hammerD2 = 0, 0, 0
+	latch(m.model.RetentionFlipPositions(bankIdx, phys, m.vpp, elapsedMS, m.tempC, rs.writeEpoch))
+	rs.rewrite(t)
 }
 
 // Refresh issues one REF command: a slice of rows in every bank is

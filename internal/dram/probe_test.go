@@ -196,3 +196,67 @@ func TestProbeRowTRCDAllocsIndependentOfColumns(t *testing.T) {
 		t.Errorf("probe allocations grow with the column count: %v per probe at 16 columns, %v at 128", allocs[16], allocs[128])
 	}
 }
+
+// TestReadRowSafeMismatchMatchesReadRowSafe: the mismatch-count read issues
+// ReadRowSafe's commands — twin controllers that fill, hammer and wait
+// alike, one counting with ReadRowSafeMismatch and one with CountMismatch
+// over ReadRowSafe, agree on the count, the clock, the restored tRCD
+// override and the complete device state — and a read that fails (the bank
+// already open) fails alike.
+func TestReadRowSafeMismatchMatchesReadRowSafe(t *testing.T) {
+	counted, imaged := probeController(t, "B3", 16, "none"), probeController(t, "B3", 16, "none")
+	both := []*softmc.Controller{counted, imaged}
+	flipped := 0
+	for i, hc := range []int{0, 50_000, 300_000, 1_000_000} {
+		kind := pattern.All()[i]
+		for _, c := range both {
+			c.Module().SetVPP(c.Module().Profile().VPPMin)
+			if err := c.InitializeRow(0, 100, kind.Byte()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.HammerDoubleSided(0, 99, 101, hc); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WaitMS(64); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetTRCD(6); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := counted.ReadRowSafeMismatch(0, 100, kind.Byte())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := imaged.ReadRowSafe(0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := kind.CountMismatch(data); got != want {
+			t.Fatalf("hc %d: ReadRowSafeMismatch = %d, CountMismatch(ReadRowSafe) = %d", hc, got, want)
+		}
+		if got > 0 {
+			flipped++
+		}
+		if counted.Now() != imaged.Now() || counted.Timing() != imaged.Timing() {
+			t.Fatalf("hc %d: controller at %d with %+v, ReadRowSafe at %d with %+v",
+				hc, counted.Now(), counted.Timing(), imaged.Now(), imaged.Timing())
+		}
+		if a, b := counted.Module().StateString(), imaged.Module().StateString(); a != b {
+			t.Fatalf("hc %d: device state differs\nReadRowSafeMismatch:\n%s\nReadRowSafe:\n%s", hc, a, b)
+		}
+	}
+	if flipped == 0 {
+		t.Error("no read counted a flip")
+	}
+	for _, c := range both {
+		if err := c.Module().Activate(c.Now(), 0, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, errCounted := counted.ReadRowSafeMismatch(0, 100, 0xFF)
+	_, errImaged := imaged.ReadRowSafe(0, 100)
+	if errCounted == nil || errCounted.Error() != errImaged.Error() {
+		t.Errorf("read of an open bank: ReadRowSafeMismatch error %v, ReadRowSafe error %v", errCounted, errImaged)
+	}
+}

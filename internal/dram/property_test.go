@@ -207,8 +207,8 @@ func referenceRead(tb testing.TB, m *Module, t PS, bankIdx, col int) []byte {
 	phys := bk.openRow
 	rs := bk.row(phys)
 	out := make([]byte, BurstBytes)
-	if rs.data != nil {
-		copy(out, rs.data[col*BurstBytes:(col+1)*BurstBytes])
+	if content := rs.content(m.geom.RowBytes); content != nil {
+		copy(out, content[col*BurstBytes:(col+1)*BurstBytes])
 	}
 	base := int32(col * BurstBytes * 8)
 	apply := func(positions []int32) {
@@ -224,7 +224,7 @@ func referenceRead(tb testing.TB, m *Module, t PS, bankIdx, col int) []byte {
 			apply(model.HammerFlipPositions(bankIdx, phys, n))
 		}
 	}
-	if rs.data != nil {
+	if rs.written() {
 		elapsedMS := float64(t-rs.lastWrite) / float64(PSPerMS)
 		apply(model.RetentionFlipPositions(bankIdx, phys, m.vpp, elapsedMS, m.tempC, rs.writeEpoch))
 	}
@@ -356,7 +356,7 @@ func TestReadRowMatchesPerColumnReads(t *testing.T) {
 						trcd := []PS{NSToPS(1.5 * float64(1+s.Intn(10))), NSToPS(30), edge - 1, edge, edge + 1}[s.Intn(5)]
 						step := []PS{0, NSToPS(1.5), NSToPS(5)}[s.Intn(3)]
 						got := compareRowRead(t, whole, perCol, open+trcd, step, bank)
-						if rs := whole.banks[bank].row(row); rs.data != nil && !bytes.Equal(got, rs.data) {
+						if content := whole.banks[bank].row(row).content(rowBytes); content != nil && !bytes.Equal(got, content) {
 							dirty++
 						}
 						reads++
@@ -638,5 +638,134 @@ func TestReadRowRejectsNegativeStep(t *testing.T) {
 	}
 	if _, err := m.ReadRow(NSToPS(30), -1, 0); !errors.Is(err, ErrTimeRegression) {
 		t.Errorf("negative step: %v, want ErrTimeRegression", err)
+	}
+}
+
+// TestReadRowMismatchMatchesCountedReadRow is the equivalence property of
+// the mismatch-count read: twin modules at 8 and 128 columns per row, with
+// and without a TRR engine, run the same randomized command streams — full-
+// row fills (FillRow on one twin, WriteRow of the same uniform image on the
+// other), non-uniform row writes, single-column writes into uniform rows,
+// hammering, waits, auto- and per-row refreshes that make flips permanent,
+// and voltage and temperature changes — and every read counts the same
+// mismatches with ReadRowMismatch as CountMismatch does over ReadRow's
+// bytes, against the row's own fill or another one, leaving the same
+// complete device state. Reads span violated and safe activation latencies.
+func TestReadRowMismatchMatchesCountedReadRow(t *testing.T) {
+	var flipped, ownFlipped, dense, otherFill int
+	for _, rowBytes := range []int{512, 8192} {
+		for i, name := range []string{"B3", "B6", "C0"} {
+			for _, trr := range []string{"none", "counter", "sampling"} {
+				t.Run(fmt.Sprintf("%s/%dcols/trr=%s", name, rowBytes/BurstBytes, trr), func(t *testing.T) {
+					p, _ := physics.ProfileByName(name)
+					opts := []Option{WithScheme(mapping.Direct{})}
+					switch trr {
+					case "counter":
+						opts = append(opts, WithTRR(2))
+					case "sampling":
+						opts = append(opts, WithSamplingTRR(0.01, 9))
+					}
+					g := rowGeometry(rowBytes)
+					counted, imaged := NewModule(p, g, 5, opts...), NewModule(p, g, 5, opts...)
+					s := rng.New(uint64(10*rowBytes + i))
+					kinds := pattern.All()
+					const bank = 1
+					rows := []int{100, 101, 102, 103, 104}
+					at := PS(0)
+					for op := 0; op < 150; op++ {
+						at += NSToPS(1 + float64(s.Intn(50)))
+						row := rows[s.Intn(len(rows))]
+						// rewrite opens the row, applies a full- or one-column
+						// write (per twin) and closes it.
+						rewrite := func(write func(m *Module) error) {
+							both(t, counted, imaged, func(m *Module) error { return m.Activate(at, bank, row) })
+							at += NSToPS(14)
+							both(t, counted, imaged, write)
+							at += NSToPS(35)
+							both(t, counted, imaged, func(m *Module) error { return m.Precharge(at, bank) })
+						}
+						switch min(s.Intn(11), 8) {
+						case 0: // uniform fill
+							fill := kinds[s.Intn(len(kinds))].Byte()
+							img := bytes.Repeat([]byte{fill}, rowBytes)
+							rewrite(func(m *Module) error {
+								if m == counted {
+									return m.FillRow(at, bank, row, fill)
+								}
+								return m.WriteRow(at, bank, row, img)
+							})
+						case 1: // non-uniform full-row write
+							img := bytes.Repeat([]byte{kinds[s.Intn(len(kinds))].Byte()}, rowBytes)
+							img[s.Intn(rowBytes)] ^= byte(1 + s.Intn(255))
+							rewrite(func(m *Module) error { return m.WriteRow(at, bank, row, img) })
+						case 2: // one column burst, into whatever the row holds
+							burst := make([]byte, BurstBytes)
+							for j := range burst {
+								burst[j] = byte(s.Intn(256))
+							}
+							col := s.Intn(rowBytes / BurstBytes)
+							rewrite(func(m *Module) error { return m.Write(at, bank, col, burst) })
+						case 3: // hammer a neighbour or the row itself
+							agg, count := row+s.Intn(3)-1, s.Intn(400_000)
+							both(t, counted, imaged, func(m *Module) error { return m.ActivateMany(at, bank, agg, count) })
+							at = counted.Now()
+						case 4: // unrefreshed wait
+							at += MSToPS([]float64{0.001, 64, 2000, 20000}[s.Intn(4)] * (0.5 + s.Float64()))
+							both(t, counted, imaged, func(m *Module) error { return m.Wait(at) })
+						case 5:
+							both(t, counted, imaged, func(m *Module) error { return m.Refresh(at) })
+						case 6:
+							both(t, counted, imaged, func(m *Module) error { return m.RefreshRow(at, bank, row) })
+							at = max(at, counted.Now())
+						case 7: // operating point
+							vmin := counted.Profile().VPPMin
+							v := vmin + (physics.VPPNominal-vmin)*s.Float64()
+							temp := []float64{physics.RowHammerTestTempC, physics.RetentionTestTempC}[s.Intn(2)]
+							both(t, counted, imaged, func(m *Module) error { m.SetVPP(v); m.SetTemperature(temp); return nil })
+						case 8: // read the row back and count
+							rs := counted.banks[bank].row(row)
+							kind := kinds[s.Intn(len(kinds))]
+							if rs.uniform && s.Bool(0.6) {
+								kind = patternFromByte(rs.fill)
+							}
+							own := rs.uniform && rs.fill == kind.Byte()
+							if !own {
+								otherFill++
+							}
+							if rs.data != nil {
+								dense++
+							}
+							both(t, counted, imaged, func(m *Module) error { return m.Activate(at, bank, row) })
+							t0 := at + []PS{NSToPS(3), NSToPS(12), NSToPS(30)}[s.Intn(3)]
+							step := []PS{0, NSToPS(5)}[s.Intn(2)]
+							got, gotErr := counted.ReadRowMismatch(t0, step, bank, kind.Byte())
+							data, wantErr := imaged.ReadRow(t0, step, bank)
+							want := kind.CountMismatch(data)
+							if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (wantErr == nil && got != want) {
+								t.Fatalf("op %d: ReadRowMismatch(%#x) = %d, %v; CountMismatch(ReadRow) = %d, %v", op, kind.Byte(), got, gotErr, want, wantErr)
+							}
+							if got > 0 {
+								flipped++
+								if own {
+									ownFlipped++
+								}
+							}
+							at = counted.Now() + NSToPS(5)
+							both(t, counted, imaged, func(m *Module) error { return m.Precharge(at, bank) })
+						}
+						if a, b := counted.StateString(), imaged.StateString(); a != b {
+							t.Fatalf("op %d: device state differs\ncounted:\n%s\nimaged:\n%s", op, a, b)
+						}
+						if zero := bytes.Count(counted.mask, []byte{0}); zero != len(counted.mask) {
+							t.Fatalf("op %d: flip mask left with %d nonzero bytes", op, len(counted.mask)-zero)
+						}
+					}
+				})
+			}
+		}
+	}
+	t.Logf("%d reads with flips (%d against the row's own fill), %d of dense rows, %d against another fill", flipped, ownFlipped, dense, otherFill)
+	if ownFlipped == 0 || dense == 0 || otherFill == 0 {
+		t.Error("the streams miss a case")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"github.com/dramstudy/rhvpp/internal/core"
+	"github.com/dramstudy/rhvpp/internal/infra"
 	"github.com/dramstudy/rhvpp/internal/physics"
 )
 
@@ -99,6 +100,14 @@ func KnownModuleNames() []string {
 	return names
 }
 
+// Upper bounds Validate places on a campaign's size knobs: ten times the
+// paper's 10,000 Monte-Carlo runs per level, and far more workers than any
+// host has CPUs.
+const (
+	MaxSpiceMCRuns = 100_000
+	MaxJobs        = 1024
+)
+
 // Validate rejects campaigns that would silently test the wrong population
 // (every entry of ModuleNames must be a Table 3 label, with no duplicates)
 // or misread their own knobs: a negative Jobs is an error — it is neither
@@ -108,11 +117,17 @@ func KnownModuleNames() []string {
 // describes no campaign at all; accepting it would run some other one under
 // a fingerprint of its own, and so does a row selection larger than the
 // bank (more Chunks than rows, or RowsPerChunk past a chunk's even share of
-// the bank). A negative or non-finite SpiceLTETolV is no tolerance either,
-// and NaN cannot be encoded into a shard artifact.
+// the bank). SpiceMCRuns and Jobs are capped at MaxSpiceMCRuns and MaxJobs,
+// so one campaign's cost stays bounded. A negative or non-finite
+// SpiceLTETolV is no tolerance either, and NaN cannot be encoded into a
+// shard artifact. RetentionVPPLevels must name at least one level, each a
+// finite voltage the supply can program and none repeated.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: Jobs %d is negative (use 0 for one worker per CPU, or a positive worker count)", o.Jobs)
+	}
+	if o.Jobs > MaxJobs {
+		return fmt.Errorf("experiments: Jobs %d is out of range (accepted range: 0 for one worker per CPU, or 1 to %d workers)", o.Jobs, MaxJobs)
 	}
 	for _, f := range []struct {
 		name, accepted string
@@ -126,6 +141,12 @@ func (o Options) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("experiments: %s %d is negative (accepted range: %s)", f.name, f.v, f.accepted)
 		}
+	}
+	if o.SpiceMCRuns > MaxSpiceMCRuns {
+		return fmt.Errorf("experiments: SpiceMCRuns %d is out of range (accepted range: 0 to %d Monte-Carlo runs per VPP level)", o.SpiceMCRuns, MaxSpiceMCRuns)
+	}
+	if err := o.validateRetentionLevels(); err != nil {
+		return err
 	}
 	if err := o.Geometry.Validate(); err != nil {
 		return fmt.Errorf("experiments: %w", err)
@@ -143,6 +164,32 @@ func (o Options) Validate() error {
 	_, err := o.profiles()
 	return err
 }
+
+// validateRetentionLevels checks RetentionVPPLevels: a non-empty list of
+// finite voltages within the supply's range, no two programming the same
+// 1 mV setpoint. Outside the range the supply would refuse the level only
+// mid-campaign; a level below it would not fail at all, but sweep a voltage
+// no module responds at.
+func (o Options) validateRetentionLevels() error {
+	levels := o.RetentionVPPLevels
+	if len(levels) == 0 {
+		return fmt.Errorf("experiments: RetentionVPPLevels is empty (accepted range: %s)", retentionLevelsAccepted)
+	}
+	for i, v := range levels {
+		if math.IsNaN(v) || v < infra.SupplyMinV || v > infra.SupplyMaxV {
+			return fmt.Errorf("experiments: RetentionVPPLevels[%d] %g is out of range (accepted range: %s)", i, v, retentionLevelsAccepted)
+		}
+		for j, w := range levels[:i] {
+			if math.Round(v*1000) == math.Round(w*1000) {
+				return fmt.Errorf("experiments: RetentionVPPLevels[%d] %g repeats RetentionVPPLevels[%d] %g (accepted range: %s)", i, v, j, w, retentionLevelsAccepted)
+			}
+		}
+	}
+	return nil
+}
+
+// retentionLevelsAccepted describes the accepted RetentionVPPLevels.
+var retentionLevelsAccepted = fmt.Sprintf("one or more distinct finite levels from %g to %g V", infra.SupplyMinV, infra.SupplyMaxV)
 
 // profiles resolves the module subset in catalog order, erroring on names
 // outside the tested population (the old behavior of quietly dropping them

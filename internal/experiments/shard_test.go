@@ -366,6 +366,74 @@ func TestValidateRejectsBadLTETol(t *testing.T) {
 	}
 }
 
+// TestValidateCapsCampaignSize: SpiceMCRuns and Jobs past their caps are
+// rejected naming the field, the value and the accepted range, while the
+// caps themselves pass.
+func TestValidateCapsCampaignSize(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Options, int)
+		limit int
+		want  string
+	}{
+		{"SpiceMCRuns", func(o *Options, v int) { o.SpiceMCRuns = v }, MaxSpiceMCRuns,
+			fmt.Sprintf("(accepted range: 0 to %d Monte-Carlo runs per VPP level)", MaxSpiceMCRuns)},
+		{"Jobs", func(o *Options, v int) { o.Jobs = v }, MaxJobs,
+			fmt.Sprintf("(accepted range: 0 for one worker per CPU, or 1 to %d workers)", MaxJobs)},
+	} {
+		for _, v := range []int{tc.limit + 1, 50_000_000, 1 << 30} {
+			o := shardOptions()
+			tc.set(&o, v)
+			want := fmt.Sprintf("%s %d is out of range %s", tc.field, v, tc.want)
+			if err := o.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s=%d: Validate() = %v, want an error containing %q", tc.field, v, err, want)
+			}
+		}
+		o := shardOptions()
+		tc.set(&o, tc.limit)
+		if err := o.Validate(); err != nil {
+			t.Errorf("%s=%d rejected: %v", tc.field, tc.limit, err)
+		}
+	}
+}
+
+// TestValidateRejectsBadRetentionLevels: an empty level list, a level that
+// is not a finite voltage inside the supply's range, and a level repeated
+// (to the supply's 1 mV resolution) are rejected naming the field and the
+// accepted range. A level of -1 V used to render a Fig. 10a plot with a BER
+// of 1, and NaN or 3.5 V to fail only mid-campaign.
+func TestValidateRejectsBadRetentionLevels(t *testing.T) {
+	const accepted = "(accepted range: one or more distinct finite levels from 0.5 to 3 V)"
+	for _, tc := range []struct {
+		levels []float64
+		want   string
+	}{
+		{nil, "RetentionVPPLevels is empty " + accepted},
+		{[]float64{}, "RetentionVPPLevels is empty " + accepted},
+		{[]float64{-1}, "RetentionVPPLevels[0] -1 is out of range " + accepted},
+		{[]float64{2.5, math.NaN()}, "RetentionVPPLevels[1] NaN is out of range " + accepted},
+		{[]float64{3.5}, "RetentionVPPLevels[0] 3.5 is out of range " + accepted},
+		{[]float64{0.4999}, "RetentionVPPLevels[0] 0.4999 is out of range " + accepted},
+		{[]float64{math.Inf(1)}, "RetentionVPPLevels[0] +Inf is out of range " + accepted},
+		{[]float64{math.Inf(-1)}, "RetentionVPPLevels[0] -Inf is out of range " + accepted},
+		{[]float64{2.5, 1.9, 2.5}, "RetentionVPPLevels[2] 2.5 repeats RetentionVPPLevels[0] 2.5 " + accepted},
+		{[]float64{1.9, 1.9001}, "RetentionVPPLevels[1] 1.9001 repeats RetentionVPPLevels[0] 1.9 " + accepted},
+	} {
+		o := shardOptions()
+		o.RetentionVPPLevels = tc.levels
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RetentionVPPLevels=%v: Validate() = %v, want an error containing %q", tc.levels, err, tc.want)
+		}
+	}
+	for _, levels := range [][]float64{{0.5}, {3.0}, {2.5, 1.9, 1.5}, Paper().RetentionVPPLevels} {
+		o := shardOptions()
+		o.RetentionVPPLevels = levels
+		if err := o.Validate(); err != nil {
+			t.Errorf("RetentionVPPLevels=%v rejected: %v", levels, err)
+		}
+	}
+}
+
 // TestValidateRejectsInvalidGeometry: Validate rejects an unusable geometry
 // with an error naming the field, the value and the accepted range. A
 // 32-byte row (half a column burst) would otherwise panic with a slice

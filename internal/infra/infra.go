@@ -44,8 +44,15 @@ func (ps *PowerSupply) Attach(mod *dram.Module) {
 	ps.setpoint = physics.VPPNominal
 }
 
+// The supply's accepted setpoint range in volts.
+const (
+	SupplyMinV = 0.5
+	SupplyMaxV = 3.0
+)
+
 // SetVoltage programs the output voltage in volts. The supply refuses
-// setpoints outside [0.5 V, 3.0 V] to protect the device under test.
+// setpoints outside [SupplyMinV, SupplyMaxV] to protect the device under
+// test.
 func (ps *PowerSupply) SetVoltage(v float64) error {
 	if ps.mod == nil {
 		return ErrNoModule
@@ -53,7 +60,7 @@ func (ps *PowerSupply) SetVoltage(v float64) error {
 	if !ps.enabled {
 		return ErrShuntInstalled
 	}
-	if v < 0.5 || v > 3.0 {
+	if v < SupplyMinV || v > SupplyMaxV {
 		return fmt.Errorf("%w: %.3fV", ErrVoltageRange, v)
 	}
 	ps.setpoint = math.Round(v*1000) / 1000

@@ -48,7 +48,6 @@ type Controller struct {
 	mod    *dram.Module
 	timing Timing
 	now    dram.PS
-	image  []byte // InitializeRow's row image, reused across calls
 }
 
 // New builds a controller for the module with nominal timing.
@@ -117,8 +116,7 @@ func (c *Controller) InitializeRow(bank, row int, fill byte) error {
 		return fmt.Errorf("init row %d: %w", row, err)
 	}
 	c.advance(c.timing.TRCD)
-	image := c.rowImage(fill)
-	if err := c.mod.WriteRow(c.now, bank, row, image); err != nil {
+	if err := c.mod.FillRow(c.now, bank, row, fill); err != nil {
 		return fmt.Errorf("init row %d: %w", row, err)
 	}
 	// Honor charge restoration before closing the row.
@@ -130,38 +128,41 @@ func (c *Controller) InitializeRow(bank, row int, fill byte) error {
 	return nil
 }
 
-// rowImage returns the controller's reusable row image filled with fill.
-// The module copies what it is written, so the buffer can be reused.
-func (c *Controller) rowImage(fill byte) []byte {
-	n := c.mod.Geometry().RowBytes
-	if len(c.image) != n {
-		c.image = make([]byte, n)
-	}
-	c.image[0] = fill
-	for filled := 1; filled < n; filled *= 2 {
-		copy(c.image[filled:], c.image[:filled])
-	}
-	return c.image
-}
-
 // ReadRow activates a row using the programmed tRCD, streams out every
 // column burst tCCD apart, precharges, and returns the full row image.
 func (c *Controller) ReadRow(bank, row int) ([]byte, error) {
-	if err := c.mod.Activate(c.now, bank, row); err != nil {
-		return nil, fmt.Errorf("read row %d: %w", row, err)
+	step, err := c.openRead(bank, row)
+	if err != nil {
+		return nil, err
 	}
-	c.advance(c.timing.TRCD)
-	step := dram.NSToPS(c.quantize(c.timing.TCCD))
 	out, err := c.mod.ReadRow(c.now, step, bank)
 	if err != nil {
 		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}
+	if err := c.closeRead(bank, row, step); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// openRead activates a row for a full-row read with the programmed tRCD and
+// returns the column step, tCCD.
+func (c *Controller) openRead(bank, row int) (dram.PS, error) {
+	if err := c.mod.Activate(c.now, bank, row); err != nil {
+		return 0, fmt.Errorf("read row %d: %w", row, err)
+	}
+	c.advance(c.timing.TRCD)
+	return c.span(c.timing.TCCD), nil
+}
+
+// closeRead moves past a full-row read's bursts and precharges the row.
+func (c *Controller) closeRead(bank, row int, step dram.PS) error {
 	c.now += dram.PS(c.mod.Geometry().Columns()) * step
 	if err := c.mod.Precharge(c.now, bank); err != nil {
-		return nil, fmt.Errorf("read row %d: %w", row, err)
+		return fmt.Errorf("read row %d: %w", row, err)
 	}
 	c.advance(c.timing.TRP)
-	return out, nil
+	return nil
 }
 
 // safeReadTRCDNS is a conservative activation latency above every tested
@@ -180,6 +181,27 @@ func (c *Controller) ReadRowSafe(bank, row int) ([]byte, error) {
 	c.timing.TRCD = safeReadTRCDNS
 	defer func() { c.timing.TRCD = saved }()
 	return c.ReadRow(bank, row)
+}
+
+// ReadRowSafeMismatch issues exactly ReadRowSafe's commands and returns the
+// number of bits of the row that read differently from fill — the
+// compare_data step of Algs. 1 and 3 — without building the row image.
+func (c *Controller) ReadRowSafeMismatch(bank, row int, fill byte) (int, error) {
+	saved := c.timing.TRCD
+	c.timing.TRCD = safeReadTRCDNS
+	defer func() { c.timing.TRCD = saved }()
+	step, err := c.openRead(bank, row)
+	if err != nil {
+		return 0, err
+	}
+	n, err := c.mod.ReadRowMismatch(c.now, step, bank, fill)
+	if err != nil {
+		return 0, fmt.Errorf("read row %d: %w", row, err)
+	}
+	if err := c.closeRead(bank, row, step); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // ReadColumn activates a row with the programmed tRCD, reads a single column
@@ -222,7 +244,7 @@ func (c *Controller) ProbeRowTRCD(bank, row int, fill byte) (int, error) {
 	c.timing = readTiming
 
 	// The schedule InitializeRow and ReadColumn would issue.
-	p := dram.ColumnProbe{Image: c.rowImage(fill), Write: c.span(initTiming.TRCD)}
+	p := dram.ColumnProbe{Fill: fill, Write: c.span(initTiming.TRCD)}
 	p.InitPre = p.Write + c.span(initTiming.TRAS)
 	p.ReadAct = p.InitPre + c.span(initTiming.TRP)
 	p.Read = p.ReadAct + c.span(readTiming.TRCD)
@@ -343,15 +365,12 @@ func (c *Controller) HammerObserveVictims(aggressor, count int, candidates []int
 		if r == aggressor {
 			continue
 		}
-		data, err := c.ReadRowSafe(0, r)
+		flips, err := c.ReadRowSafeMismatch(0, r, fill)
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range data {
-			if b != fill {
-				victims = append(victims, r)
-				break
-			}
+		if flips > 0 {
+			victims = append(victims, r)
 		}
 	}
 	return victims, nil
