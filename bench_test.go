@@ -1,7 +1,7 @@
 package rhvpp
 
-// One benchmark per table and figure of the paper's evaluation (see the
-// per-experiment index in DESIGN.md), plus the ablations. Each benchmark
+// One benchmark per table and figure of the paper's evaluation (`go run
+// ./cmd/rhvpp -list` indexes them), plus the ablations. Each benchmark
 // runs the corresponding experiment end to end — device simulation,
 // characterization algorithms, aggregation — at a laptop-scale configuration
 // and reports the experiment's headline number as a custom metric so the
@@ -10,7 +10,7 @@ package rhvpp
 //	go test -bench=. -benchmem
 //
 // The full rows/series are regenerated by `go run ./cmd/rhvpp -exp <id>`;
-// EXPERIMENTS.md records paper-vs-measured for every entry.
+// the campaign goldens in testdata/golden pin them.
 
 import (
 	"io"
@@ -286,29 +286,27 @@ func BenchmarkSection61Guardband(b *testing.B) {
 }
 
 // BenchmarkTransientStep compares the engines' cost per base-grid cell: the
-// adaptive default (error-controlled coarse steps through the quiescent
-// stretches), the incremental engine pinned to the fixed grid, and the dense
-// finite-difference reference. "ns/step" is wall time divided by base cells
-// covered, so the adaptive figure folds the step-count reduction in.
+// unprobed adaptive path (error-controlled coarse steps through the
+// quiescent stretches, every Monte-Carlo run), the incremental engine under
+// a probe (every cell of the fixed grid, the waveform study's path), and the
+// dense finite-difference reference. "ns/step" is wall time divided by base
+// cells covered, so the adaptive figure folds the step-count reduction in.
 func BenchmarkTransientStep(b *testing.B) {
-	fixed := func(p spice.CellParams, probe spice.Probe) (spice.ActivationResult, error) {
-		p.Adaptive = spice.AdaptiveConfig{}
-		return spice.SimulateActivation(p, probe)
-	}
 	engines := []struct {
-		name string
-		run  func(spice.CellParams, spice.Probe) (spice.ActivationResult, error)
+		name  string
+		run   func(spice.CellParams, spice.Probe) (spice.ActivationResult, error)
+		probe spice.Probe
 	}{
-		{"adaptive", spice.SimulateActivation},
-		{"incremental-fixed-grid", fixed},
-		{"dense-reference", spice.SimulateActivationReference},
+		{"adaptive", spice.SimulateActivation, nil},
+		{"incremental-fixed-grid", spice.SimulateActivation, func(_, _, _ float64) {}},
+		{"dense-reference", spice.SimulateActivationReference, nil},
 	}
 	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {
 			p := spice.DefaultCellParams(2.5)
 			cells := 0
 			for i := 0; i < b.N; i++ {
-				res, err := eng.run(p, nil)
+				res, err := eng.run(p, eng.probe)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -322,17 +320,15 @@ func BenchmarkTransientStep(b *testing.B) {
 }
 
 // BenchmarkMonteCarlo measures the Fig. 8b/9b campaign throughput at a
-// mid-sweep VPP. jobs=1-fixed-grid pins the incremental engine to the 25 ps
-// grid, jobs=1 adds adaptive stepping and jobs=4 adds the worker pool. The
-// dense reference engine's cost per step is BenchmarkTransientStep's
-// dense-reference case. All variants produce byte-identical MCResults.
+// mid-sweep VPP: jobs=1 is the adaptive engine alone and jobs=4 adds the
+// worker pool. The full-grid and dense-reference costs per step are
+// BenchmarkTransientStep's. Both variants produce byte-identical MCResults.
 func BenchmarkMonteCarlo(b *testing.B) {
 	const runs = 24
 	cases := []struct {
 		name string
 		cfg  spice.MCConfig
 	}{
-		{"jobs=1-fixed-grid", spice.MCConfig{Jobs: 1, FixedGrid: true}},
 		{"jobs=1", spice.MCConfig{Jobs: 1}},
 		{"jobs=4", spice.MCConfig{Jobs: 4}},
 	}

@@ -276,6 +276,32 @@ func TestMergeValidation(t *testing.T) {
 	if err := run(t.Context(), []string{"merge", s0}, &buf); err == nil {
 		t.Error("incomplete shard set accepted")
 	}
+	// A complete set whose options carry a field this build does not read
+	// (a retired stepping knob) is refused, not merged at the default.
+	whole := filepath.Join(dir, "whole.json")
+	if err := run(t.Context(), shardFlags("-shard", "0/1", "-artifact", whole), &buf); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := rhvpp.DecodeArtifact(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art.Options = append(bytes.TrimSuffix(art.Options, []byte("}")), `,"SpiceLTETolV":0.002}`...)
+	var grown bytes.Buffer
+	if err := rhvpp.EncodeArtifact(&grown, art); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(whole, grown.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(t.Context(), []string{"merge", whole}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "fields this build does not read") {
+		t.Errorf("artifact with an unread options field: merge = %v, want a refusal", err)
+	}
 }
 
 func TestPresetGoldenSelectsPinnedScope(t *testing.T) {

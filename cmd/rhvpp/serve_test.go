@@ -18,8 +18,8 @@ import (
 // TestCLIAndHTTPReportIdenticalErrors pins the shared option surface: an
 // invalid knob given as a CLI flag and as a query parameter must be rejected
 // with the same text, whether the rejection comes from parsing (an unknown
-// knob) or from Options.Validate (a negative size, a size past its cap, a
-// row selection larger than the bank, a non-finite tolerance).
+// or retired knob) or from Options.Validate (a negative size, a size past
+// its cap, a row selection larger than the bank).
 func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 	hs := httptest.NewServer(server.New(server.Config{Base: rhvpp.GoldenOptions()}).Handler())
 	defer hs.Close()
@@ -29,10 +29,10 @@ func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 		{"rows", "-1"},
 		{"stride", "-2"},
 		{"jobs", "-1"},
-		{"ltetol", "-5"},
+		{"ltetol", "0.001"},
 		{"ltetol", "NaN"},
-		{"ltetol", "Inf"},
-		{"ltetol", "-Inf"},
+		{"fixed-grid", "true"},
+		{"fixed-grid", "false"},
 		{"batch", "4"},
 		{"chunks", "3037000500"},
 		{"rows", "3037000500"},

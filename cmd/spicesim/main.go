@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"github.com/dramstudy/rhvpp/internal/report"
@@ -25,32 +26,32 @@ func main() {
 		varPct   = flag.Float64("variation", 5, "component variation (percent)")
 	)
 	flag.Parse()
+	if *runs < 1 {
+		fatal(fmt.Errorf("-runs %d: want at least 1 Monte-Carlo run", *runs))
+	}
+	if v := *varPct; !(v >= 0) || math.IsInf(v, 1) {
+		fatal(fmt.Errorf("-variation %g: want a finite, non-negative percentage", v))
+	}
 
 	if *waveform {
 		fmt.Printf("# t(ns)  Vbitline(V)  Vcell(V)   [VPP=%.2fV]\n", *vpp)
+		// A probed run samples every 25 ps cell; print every 20th (0.5 ns).
 		step := 0
-		p := spice.DefaultCellParams(*vpp)
-		// The printed trace decimates assuming uniform 25 ps samples, so
-		// integrate the dense fixed grid (adaptive stepping probes only at
-		// accepted, non-uniformly spaced endpoints).
-		p.Adaptive = spice.AdaptiveConfig{}
-		_, err := spice.SimulateActivation(p, func(tNS, vbl, vcell float64) {
+		_, err := spice.SimulateActivation(spice.DefaultCellParams(*vpp), func(tNS, vbl, vcell float64) {
 			if step%20 == 0 {
 				fmt.Printf("%7.2f  %8.4f  %8.4f\n", tNS, vbl, vcell)
 			}
 			step++
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spicesim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		return
 	}
 
 	res, err := spice.MonteCarlo(*vpp, *runs, *seed, *varPct/100)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spicesim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("VPP = %.2fV, %d runs, ±%.0f%% variation\n", *vpp, res.Runs, *varPct)
 	fmt.Printf("reliable activations: %.1f%% (%d unreliable, %d unrestored, %d no-converge)\n",
@@ -64,8 +65,12 @@ func main() {
 	}
 	if len(t.Rows) > 0 {
 		if err := t.Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "spicesim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "spicesim:", err)
+	os.Exit(1)
 }

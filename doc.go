@@ -46,9 +46,10 @@
 //     partials fold in catalog/(level, run) order.
 //   - Dense-reference accuracy: the SPICE engines are pinned to the dense
 //     finite-difference reference — 1e-9 V for the incremental engine on
-//     the fixed grid, spice.AccuracyTolV for the default adaptive engine,
-//     whose grid-quantized threshold crossings are bit-identical to
-//     fixed-grid integration on the golden population.
+//     the full grid (a probed run), spice.AccuracyTolV for adaptive
+//     stepping (an unprobed run, e.g. every Monte-Carlo sample), whose
+//     grid-quantized threshold crossings are bit-identical to full-grid
+//     integration on the golden population.
 //
 // Campaigns can be split across processes or hosts with Plan / ShardUnits /
 // RunShard / MergeArtifacts (the Runner seam); see README.md for the CLI

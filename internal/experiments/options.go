@@ -49,18 +49,6 @@ type Options struct {
 	// (0 = one worker per CPU). Results are merged in catalog order, so
 	// any value produces byte-identical output.
 	Jobs int
-	// SpiceFixedGrid forces the SPICE Monte-Carlo onto the historical fixed
-	// 25 ps integration grid instead of adaptive error-controlled stepping.
-	// The default adaptive configuration reports crossings quantized onto
-	// the same grid with identical values, so this knob exists for A/B
-	// benchmarking, not correctness. Omitted from the canonical options
-	// encoding when default, so existing shard artifacts stay mergeable.
-	SpiceFixedGrid bool `json:",omitempty"`
-	// SpiceLTETolV overrides the adaptive engine's step-doubling error
-	// tolerance in volts (0 = spice.DefaultLTETolV). Values beyond the
-	// default loosen the fixed-grid-equivalence guarantee; see
-	// docs/ARCHITECTURE.md for the accuracy contract.
-	SpiceLTETolV float64 `json:",omitempty"`
 }
 
 // Default returns a laptop-scale campaign preserving the paper's structure.
@@ -77,8 +65,8 @@ func Default() Options {
 	}
 }
 
-// Paper returns the full-scale parameters (very slow; provided for
-// completeness and documented in EXPERIMENTS.md).
+// Paper returns the full-scale parameters behind the `paper` preset (very
+// slow; docs/PERF.md records its projected run time).
 func Paper() Options {
 	o := Default()
 	o.Geometry = physics.FullGeometry()
@@ -118,10 +106,9 @@ const (
 // a fingerprint of its own, and so does a row selection larger than the
 // bank (more Chunks than rows, or RowsPerChunk past a chunk's even share of
 // the bank). SpiceMCRuns and Jobs are capped at MaxSpiceMCRuns and MaxJobs,
-// so one campaign's cost stays bounded. A negative or non-finite
-// SpiceLTETolV is no tolerance either, and NaN cannot be encoded into a
-// shard artifact. RetentionVPPLevels must name at least one level, each a
-// finite voltage the supply can program and none repeated.
+// so one campaign's cost stays bounded. RetentionVPPLevels must name at
+// least one level, each a finite voltage the supply can program and none
+// repeated.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: Jobs %d is negative (use 0 for one worker per CPU, or a positive worker count)", o.Jobs)
@@ -157,9 +144,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("experiments: Chunks %d is out of range (accepted range: 0 to %d, the rows per bank)", o.Chunks, bank)
 	} else if o.Chunks > 0 && o.RowsPerChunk > bank/o.Chunks {
 		return fmt.Errorf("experiments: RowsPerChunk %d is out of range (accepted range: 0 to %d, the rows per bank / Chunks)", o.RowsPerChunk, bank/o.Chunks)
-	}
-	if v := o.SpiceLTETolV; v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("experiments: SpiceLTETolV %g is out of range (accepted range: 0 for the engine default, or a finite positive tolerance in volts)", v)
 	}
 	_, err := o.profiles()
 	return err

@@ -344,28 +344,6 @@ func TestValidateRejectsOversizedRowSelection(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBadLTETol: a negative or non-finite SpiceLTETolV is
-// rejected naming the field, the value and the accepted range, while 0 (the
-// engine default) and a finite positive tolerance pass.
-func TestValidateRejectsBadLTETol(t *testing.T) {
-	for _, v := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		o := shardOptions()
-		o.SpiceLTETolV = v
-		err := o.Validate()
-		want := fmt.Sprintf("SpiceLTETolV %g is out of range (accepted range: 0 for the engine default, or a finite positive tolerance in volts)", v)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("SpiceLTETolV=%g: Validate() = %v, want an error containing %q", v, err, want)
-		}
-	}
-	for _, v := range []float64{0, 2e-4} {
-		o := shardOptions()
-		o.SpiceLTETolV = v
-		if err := o.Validate(); err != nil {
-			t.Errorf("SpiceLTETolV=%g rejected: %v", v, err)
-		}
-	}
-}
-
 // TestValidateCapsCampaignSize: SpiceMCRuns and Jobs past their caps are
 // rejected naming the field, the value and the accepted range, while the
 // caps themselves pass.

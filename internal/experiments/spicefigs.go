@@ -47,11 +47,6 @@ func RunWaveforms(ctx context.Context) (Waveforms, error) {
 		var ts, bl, cell []float64
 		p := spice.DefaultCellParams(vpp)
 		p.MaxNS = 100
-		// The rendered figures sample every cell of the fixed 25 ps grid;
-		// they are also the accuracy oracle the adaptive engine is pinned
-		// against, so this study always integrates densely (it is one cheap
-		// deterministic simulation per level).
-		p.Adaptive = spice.AdaptiveConfig{}
 		if _, err := spice.SimulateActivation(p, func(tNS, vbl, vcell float64) {
 			ts = append(ts, tNS)
 			bl = append(bl, vbl)

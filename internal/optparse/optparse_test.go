@@ -14,7 +14,7 @@ func TestSetAppliesOnlyWhatWasSet(t *testing.T) {
 	var ov Overrides
 	for _, kv := range [][2]string{
 		{"modules", "B3,C0"}, {"rows", "8"}, {"seed", "77"},
-		{"mc", "50"}, {"fixed-grid", "true"},
+		{"mc", "50"},
 	} {
 		if err := ov.Set(kv[0], kv[1]); err != nil {
 			t.Fatalf("Set(%s, %s): %v", kv[0], kv[1], err)
@@ -26,12 +26,11 @@ func TestSetAppliesOnlyWhatWasSet(t *testing.T) {
 	if !reflect.DeepEqual(o.ModuleNames, []string{"B3", "C0"}) {
 		t.Errorf("ModuleNames = %v", o.ModuleNames)
 	}
-	if o.RowsPerChunk != 8 || o.Seed != 77 || o.SpiceMCRuns != 50 || !o.SpiceFixedGrid {
+	if o.RowsPerChunk != 8 || o.Seed != 77 || o.SpiceMCRuns != 50 {
 		t.Errorf("set knobs not applied: %+v", o)
 	}
 	// Everything unset keeps the preset's value.
-	if o.Chunks != base.Chunks || o.VPPStride != base.VPPStride ||
-		o.SpiceLTETolV != base.SpiceLTETolV || o.Jobs != base.Jobs {
+	if o.Chunks != base.Chunks || o.VPPStride != base.VPPStride || o.Jobs != base.Jobs {
 		t.Errorf("unset knobs drifted from preset: %+v", o)
 	}
 }
@@ -78,9 +77,16 @@ func TestSetRejectsUnknownAndUnparseable(t *testing.T) {
 			t.Errorf("unknown-knob error should list %q: %v", name, err)
 		}
 	}
+	// The retired SPICE stepping knobs are unknown like any other name.
+	for _, kv := range [][2]string{{"ltetol", "0.001"}, {"fixed-grid", "true"}} {
+		want := strings.Replace(err.Error(), `"bogus"`, `"`+kv[0]+`"`, 1)
+		if got := ov.Set(kv[0], kv[1]); got == nil || got.Error() != want {
+			t.Errorf("Set(%s, %s) = %v, want %q", kv[0], kv[1], got, want)
+		}
+	}
 	for _, kv := range [][2]string{
 		{"rows", "eight"}, {"seed", "-1"}, {"seed", "xyz"},
-		{"ltetol", "tiny"}, {"fixed-grid", "maybe"}, {"jobs", "many"},
+		{"jobs", "many"},
 	} {
 		if err := ov.Set(kv[0], kv[1]); err == nil {
 			t.Errorf("Set(%s, %s) accepted", kv[0], kv[1])
@@ -99,16 +105,14 @@ func TestFlagsMatchSetSemantics(t *testing.T) {
 	fromFlags.Flags(fs)
 	if err := fs.Parse([]string{
 		"-modules", "B3", "-rows", "4", "-chunks", "1", "-seed", "9",
-		"-stride", "2", "-mc", "10", "-ltetol", "0.002",
-		"-fixed-grid", "-jobs", "2",
+		"-stride", "2", "-mc", "10", "-jobs", "2",
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var fromSet Overrides
 	for _, kv := range [][2]string{
 		{"modules", "B3"}, {"rows", "4"}, {"chunks", "1"}, {"seed", "9"},
-		{"stride", "2"}, {"mc", "10"}, {"ltetol", "0.002"},
-		{"fixed-grid", "true"}, {"jobs", "2"},
+		{"stride", "2"}, {"mc", "10"}, {"jobs", "2"},
 	} {
 		if err := fromSet.Set(kv[0], kv[1]); err != nil {
 			t.Fatal(err)

@@ -431,8 +431,8 @@ func TestQueryOptionsErrors(t *testing.T) {
 		{"negative stride", "/v1/experiments/table3?stride=-2", badStride.Validate().Error()},
 		{"unknown format", "/v1/experiments/table3?format=yaml", badFormatErr.Error()},
 		{"unknown preset", "/v1/experiments/table3?preset=bogus", unknownPresetErr.Error()},
-		{"unknown knob", "/v1/experiments/table3?rowz=5", `unknown option "rowz" (known: modules, rows, chunks, seed, stride, mc, ltetol, fixed-grid, jobs)`},
-		{"retired batch knob", "/v1/experiments/table3?batch=4", `unknown option "batch" (known: modules, rows, chunks, seed, stride, mc, ltetol, fixed-grid, jobs)`},
+		{"unknown knob", "/v1/experiments/table3?rowz=5", `unknown option "rowz" (known: modules, rows, chunks, seed, stride, mc, jobs)`},
+		{"retired batch knob", "/v1/experiments/table3?batch=4", `unknown option "batch" (known: modules, rows, chunks, seed, stride, mc, jobs)`},
 		{"unparseable knob", "/v1/experiments/table3?rows=eight", ""},
 	} {
 		code, body, _ := get(t, hs.URL+tc.url)

@@ -1,19 +1,18 @@
 package spice
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/rng"
 )
 
-// fixedGrid returns p with adaptive stepping disabled.
-func fixedGrid(p CellParams) CellParams {
-	p.Adaptive = AdaptiveConfig{}
-	return p
+// simulateFullGrid measures p on every cell of the StepPS grid without a
+// probe: the full-grid side of the adaptive comparisons below.
+func simulateFullGrid(p CellParams) (ActivationResult, error) {
+	return simulateActivation(p, nil, NewTransient, false)
 }
 
 // TestAdaptiveCrossingsMatchFixedGrid is the crossing-quantization property
@@ -32,7 +31,7 @@ func TestAdaptiveCrossingsMatchFixedGrid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("vpp=%v: adaptive: %v", vpp, err)
 		}
-		fixed, err := SimulateActivation(fixedGrid(p), nil)
+		fixed, err := simulateFullGrid(p)
 		if err != nil {
 			t.Fatalf("vpp=%v: fixed: %v", vpp, err)
 		}
@@ -48,12 +47,13 @@ func TestAdaptiveCrossingsMatchFixedGrid(t *testing.T) {
 		for i := 0; i < runs; i++ {
 			p := Vary(DefaultCellParams(vpp), root.Derive("run", i), 0.05)
 			fast, errA := SimulateActivation(p, nil)
-			fixed, errF := SimulateActivation(fixedGrid(p), nil)
-			if (errA == nil) != (errF == nil) {
+			fixed, errF := simulateFullGrid(p)
+			if (errA == nil) != (errF == nil) ||
+				errors.Is(errA, ErrNoConverge) != errors.Is(errF, ErrNoConverge) {
 				t.Fatalf("vpp=%v run %d: error divergence: adaptive %v, fixed %v", vpp, i, errA, errF)
 			}
 			if errA != nil {
-				continue // both diverged: same Unreliable/Unrestored classification
+				continue // both diverged: same NoConverge classification
 			}
 			assertSameMeasurement(t, fmt.Sprintf("vpp=%v run %d", vpp, i), fast, fixed)
 		}
@@ -85,7 +85,7 @@ func TestAdaptiveMatchesReference(t *testing.T) {
 		}
 		samples, offGrid := 0, 0
 		worst := 0.0
-		if _, err := SimulateActivation(p, func(tNS, vbl, vcell float64) {
+		if _, err := simulateActivation(p, func(tNS, vbl, vcell float64) {
 			samples++
 			wb, ok := refBL[tNS]
 			if !ok {
@@ -94,7 +94,7 @@ func TestAdaptiveMatchesReference(t *testing.T) {
 			}
 			worst = math.Max(worst, math.Abs(wb-vbl))
 			worst = math.Max(worst, math.Abs(refCell[tNS]-vcell))
-		}); err != nil {
+		}, NewTransient, true); err != nil {
 			t.Fatalf("vpp=%v: adaptive: %v", vpp, err)
 		}
 		if samples == 0 {
@@ -121,7 +121,7 @@ func TestAdaptiveStepReduction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("vpp=%v: adaptive: %v", vpp, err)
 		}
-		fixed, err := SimulateActivation(fixedGrid(p), nil)
+		fixed, err := simulateFullGrid(p)
 		if err != nil {
 			t.Fatalf("vpp=%v: fixed: %v", vpp, err)
 		}
@@ -144,67 +144,30 @@ func TestAdaptiveStepReduction(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDisabledByStepCap pins the documented MaxStepPS semantics: a
-// cap below twice the base step leaves no legal coarse size, so the run
-// must cover the grid cell-for-cell with one solve each, like the fixed
-// loop.
-func TestAdaptiveDisabledByStepCap(t *testing.T) {
+// TestProbeImpliesFullGrid pins the stepping policy: a probed run covers
+// the grid cell for cell with one solve each and measures exactly what the
+// unprobed full-grid run does, while an unprobed run steps adaptively.
+func TestProbeImpliesFullGrid(t *testing.T) {
 	p := DefaultCellParams(2.0)
-	p.Adaptive.MaxStepPS = p.StepPS // < 2*StepPS: coarsening impossible
-	got, err := SimulateActivation(p, nil)
+	probed, err := SimulateActivation(p, func(_, _, _ float64) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Steps.CoarseCells != 0 || got.Steps.Solves != got.Steps.Cells {
-		t.Errorf("capped run still coarsened: %+v", got.Steps)
+	if probed.Steps.CoarseCells != 0 || probed.Steps.Solves != probed.Steps.Cells {
+		t.Errorf("probed run coarsened: %+v", probed.Steps)
 	}
-	fixed, err := SimulateActivation(fixedGrid(p), nil)
+	full, err := simulateFullGrid(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameMeasurement(t, "capped", got, fixed)
-}
-
-// TestAdaptiveConfigValidation rejects malformed tolerances before they
-// reach the engine.
-func TestAdaptiveConfigValidation(t *testing.T) {
-	for _, mutate := range []func(*CellParams){
-		func(p *CellParams) { p.Adaptive.LTETolV = -1 },
-		func(p *CellParams) { p.Adaptive.MaxStepPS = -1 },
-		func(p *CellParams) { p.Adaptive.ActivityTolV = -1 },
-	} {
-		p := DefaultCellParams(2.5)
-		mutate(&p)
-		if _, err := SimulateActivation(p, nil); err == nil {
-			t.Errorf("negative adaptive tolerance accepted: %+v", p.Adaptive)
-		}
+	if probed != full {
+		t.Errorf("probed run diverges from the full grid:\nprobed %+v\nfull   %+v", probed, full)
 	}
-}
-
-// TestMonteCarloFixedGridEquivalence ties the engine-level property to the
-// campaign aggregates: a Monte-Carlo campaign run adaptively must produce
-// MCResults deep-equal to the FixedGrid campaign — same crossing multisets,
-// same classifications — which is what keeps shard artifacts and campaign
-// goldens byte-stable under the default config.
-func TestMonteCarloFixedGridEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Monte Carlo is slow")
+	adaptive, err := SimulateActivation(p, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx := context.Background()
-	for _, vpp := range []float64{2.3, 1.9} {
-		base := MCConfig{VPP: vpp, Runs: 16, Seed: 2022, Variation: 0.05, Jobs: 4}
-		adaptive, err := RunMonteCarlo(ctx, base)
-		if err != nil {
-			t.Fatalf("vpp=%v adaptive: %v", vpp, err)
-		}
-		cfg := base
-		cfg.FixedGrid = true
-		fixed, err := RunMonteCarlo(ctx, cfg)
-		if err != nil {
-			t.Fatalf("vpp=%v fixed: %v", vpp, err)
-		}
-		if !reflect.DeepEqual(adaptive, fixed) {
-			t.Errorf("vpp=%v: adaptive and fixed-grid campaigns diverge:\n%+v\n%+v", vpp, adaptive, fixed)
-		}
+	if adaptive.Steps.CoarseCells == 0 {
+		t.Errorf("unprobed run never coarsened: %+v", adaptive.Steps)
 	}
 }

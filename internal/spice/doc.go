@@ -7,13 +7,14 @@
 //
 // The engine is general: circuits are built from resistors, capacitors,
 // piecewise-linear voltage sources, and MOSFETs, then integrated on a fixed
-// base time grid, with optional error-controlled adaptive coarsening
-// through quiescent stretches. Only the features the paper's study needs
-// are implemented — no AC analysis, no higher-order integration.
+// base time grid, with error-controlled adaptive coarsening through
+// quiescent stretches. Only the features the paper's study needs are
+// implemented — no AC analysis, no higher-order integration.
 //
 // # Engines and accuracy contracts
 //
-// Three integration modes back one API, in decreasing cost order:
+// Two engines back one API, and one measurement loop (measureActivation
+// over the stepper in adaptive.go) drives both:
 //
 //   - The dense reference engine (NewTransientReference,
 //     SimulateActivationReference) re-stamps the full MNA system with
@@ -22,18 +23,21 @@
 //     every cell of the fixed grid.
 //   - The incremental engine (NewTransient) eliminates grounded-source
 //     nodes up front, assembles static stamps once, and adds only analytic
-//     MOSFET linearizations per iteration. On the fixed grid it is pinned
+//     MOSFET linearizations per iteration. On the full grid it is pinned
 //     to the reference within 1e-9 V on the Fig. 8a/9a waveforms at every
 //     sweep VPP (TestGoldenIncrementalMatchesReference).
-//   - Adaptive stepping (AdaptiveConfig, the DefaultCellParams default)
-//     drives the incremental engine with step-doubling error control,
-//     covering quiescent stretches with multi-cell coarse steps. Samples
-//     stay within AccuracyTolV of the dense reference at shared grid times,
-//     and reported threshold crossings (tRCDmin, tRASmin) are quantized
-//     onto the base grid with values BIT-IDENTICAL to fixed-grid
-//     integration across the sweep and the golden Monte-Carlo population
-//     (TestAdaptiveCrossingsMatchFixedGrid) — the invariant that keeps the
-//     campaign goldens and shard artifacts byte-stable.
+//
+// The stepping policy follows from the probe, not from a setting: a run
+// with a non-nil Probe integrates and samples every cell of the StepPS grid
+// (the waveform figures); a run without one (every Monte-Carlo sample)
+// steps adaptively, covering quiescent stretches with step-doubling
+// validated multi-cell coarse steps. Adaptive samples stay within
+// AccuracyTolV of the dense reference at shared grid times, and reported
+// threshold crossings (tRCDmin, tRASmin) are quantized onto the base grid
+// with values BIT-IDENTICAL to full-grid integration across the sweep and
+// the golden Monte-Carlo population (TestAdaptiveCrossingsMatchFixedGrid) —
+// the invariant that keeps the campaign goldens and shard artifacts
+// byte-stable.
 //
 // # Determinism and memory
 //

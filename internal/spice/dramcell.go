@@ -1,7 +1,7 @@
 package spice
 
 import (
-	"errors"
+	"fmt"
 	"math"
 )
 
@@ -35,18 +35,13 @@ type CellParams struct {
 	// level the access transistor permits).
 	RestoreFrac float64
 
-	StepPS float64 // base integration time step (the 25 ps measurement grid)
+	// StepPS is the base integration time step (the 25 ps measurement
+	// grid). Measurements are always reported on it: adaptive runs quantize
+	// threshold crossings back onto it (bit-identical to the full-grid
+	// crossing), so downstream exact-quantile statistics and shard merges
+	// never see off-grid values.
+	StepPS float64
 	MaxNS  float64 // simulation horizon
-
-	// Adaptive configures error-controlled step coarsening through the
-	// quiescent stretches of the activation (see AdaptiveConfig). The zero
-	// value integrates every cell of the fixed StepPS grid, the historical
-	// behavior; DefaultCellParams enables adaptive stepping with defaults.
-	// Either way, measurements are reported on the StepPS grid: adaptive
-	// runs quantize threshold crossings back onto it (bit-identical to the
-	// fixed-grid crossing), so downstream exact-quantile statistics and
-	// shard merges never see off-grid values.
-	Adaptive AdaptiveConfig
 }
 
 // DefaultCellParams returns the Table 2 netlist at the given VPP, with
@@ -76,7 +71,6 @@ func DefaultCellParams(vpp float64) CellParams {
 		RestoreFrac:   0.95,
 		StepPS:        25,
 		MaxNS:         120,
-		Adaptive:      DefaultAdaptive(),
 	}
 }
 
@@ -107,15 +101,20 @@ type ActivationResult struct {
 	Steps StepStats
 }
 
-// Probe receives waveform samples during simulation.
+// Probe receives waveform samples during simulation. Passing one selects
+// the stepping policy: a non-nil probe is handed every cell of the StepPS
+// grid, so the run integrates the full grid; a nil probe lets the run step
+// adaptively through quiescent stretches (see adaptive.go). Both report the
+// same grid-quantized measurements.
 type Probe func(tNS, vBitline, vCell float64)
 
 // SimulateActivation runs the full activation: wordline ramps to VPP at
 // t=0, charge sharing perturbs the bitline, the sense amplifier is strobed,
 // and the cell is restored through the access transistor. It returns the
-// tRCDmin / tRASmin measurements.
+// tRCDmin / tRASmin measurements. It steps adaptively when probe is nil and
+// integrates (and probes) every cell of the StepPS grid otherwise.
 func SimulateActivation(p CellParams, probe Probe) (ActivationResult, error) {
-	return simulateActivation(p, probe, NewTransient)
+	return simulateActivation(p, probe, NewTransient, probe == nil)
 }
 
 // SimulateActivationReference runs the same activation on the dense
@@ -125,7 +124,7 @@ func SimulateActivation(p CellParams, probe Probe) (ActivationResult, error) {
 // integrates the full fixed StepPS grid — it is the accuracy oracle the
 // adaptive engine is validated against, so it never steps adaptively.
 func SimulateActivationReference(p CellParams, probe Probe) (ActivationResult, error) {
-	return simulateActivation(p, probe, NewTransientReference)
+	return simulateActivation(p, probe, NewTransientReference, false)
 }
 
 // cellNodes names the netlist's node ids, shared by the one-shot simulation
@@ -232,14 +231,15 @@ func stampCellValues(ckt *Circuit, n cellNodes, w cellWaves, p CellParams) {
 
 // measureActivation steps the prepared engine through the activation and
 // extracts the tRCDmin / tRASmin measurements. Both the one-shot paths and
-// the reusable Workspace run exactly this loop; with adaptive stepping
-// enabled (and the incremental engine backing the analysis — the dense
-// reference always integrates the full fixed grid it is the oracle for),
-// the same measurements are driven through the error-controlled stepper.
-func measureActivation(tr *Transient, n cellNodes, p CellParams, probe Probe) (ActivationResult, error) {
-	if p.Adaptive.Enabled && tr.red != nil {
-		return measureActivationAdaptive(tr, n, p, probe)
-	}
+// the reusable Workspace run exactly this loop over the stepper, which
+// coarsens only when adaptive is set and the incremental engine backs the
+// analysis; otherwise it covers the grid one cell per solve. Samples land
+// on accepted step endpoints (always base-grid cells); a threshold crossing
+// observed at a coarse endpoint is rewound and re-integrated cell by cell,
+// so the reported crossing times are the full grid's own — bit-identical
+// floats, because the stepper's grid clock replays the full grid's repeated
+// time addition.
+func measureActivation(tr *Transient, n cellNodes, p CellParams, probe Probe, adaptive bool) (ActivationResult, error) {
 	var res ActivationResult
 	ns := 1e-9
 	vth := p.VTHFrac * p.VDD
@@ -250,61 +250,9 @@ func measureActivation(tr *Transient, n cellNodes, p CellParams, probe Probe) (A
 	target := math.Min(p.RestoreFrac*p.VDD, vcell0-0.05)
 	minCell := vcell0
 	dipped := false
-
-	for tr.Time() < p.MaxNS*ns {
-		if err := tr.Step(); err != nil {
-			res.Steps.NewtonIters = tr.newtIters
-			return res, err
-		}
-		res.Steps.Cells++
-		res.Steps.Solves++
-		tNS := tr.Time() / ns
-		vbl := tr.V(n.bls)
-		vcell := tr.V(n.cellC)
-		if probe != nil {
-			probe(tNS, vbl, vcell)
-		}
-		if !res.Reliable && vbl >= vth {
-			res.Reliable = true
-			res.TRCDminNS = tNS
-		}
-		if vcell < minCell {
-			minCell = vcell
-			if vcell < vcell0-0.02 {
-				dipped = true
-			}
-		}
-		if dipped && !res.Restored && vcell >= target && vcell > minCell+0.01 {
-			res.Restored = true
-			res.TRASminNS = tNS
-		}
-		res.FinalCellV = vcell
-		if res.Reliable && res.Restored {
-			break
-		}
-	}
-	res.Steps.NewtonIters = tr.newtIters
-	return res, nil
-}
-
-// measureActivationAdaptive runs the same measurement over the
-// error-controlled stepper. Samples land on accepted step endpoints (always
-// base-grid cells, non-uniformly spaced); a threshold crossing observed at a
-// coarse endpoint is rewound and re-integrated cell by cell, so the
-// reported crossing times are the fixed grid's own — bit-identical floats,
-// because the stepper's grid clock replays the fixed loop's repeated time
-// addition.
-func measureActivationAdaptive(tr *Transient, n cellNodes, p CellParams, probe Probe) (ActivationResult, error) {
-	var res ActivationResult
-	ns := 1e-9
-	vth := p.VTHFrac * p.VDD
-	vcell0 := p.SaturationV()
-	target := math.Min(p.RestoreFrac*p.VDD, vcell0-0.05)
-	minCell := vcell0
-	dipped := false
 	horizon := p.MaxNS * ns
 
-	st := tr.newAdaptiveStepper(p.Adaptive, horizon)
+	st := tr.newAdaptiveStepper(horizon, adaptive)
 	for st.tGrid < horizon {
 		m, err := st.step()
 		if err != nil {
@@ -352,22 +300,30 @@ func measureActivationAdaptive(tr *Transient, n cellNodes, p CellParams, probe P
 	return res, nil
 }
 
-func simulateActivation(p CellParams, probe Probe, newEngine func(*Circuit, float64) *Transient) (ActivationResult, error) {
+// simulateActivation runs one activation on a fresh engine. adaptive
+// selects the stepping policy; the exported entry points derive it from the
+// probe, and tests pair a probe with adaptive stepping through it directly.
+func simulateActivation(p CellParams, probe Probe, newEngine func(*Circuit, float64) *Transient, adaptive bool) (ActivationResult, error) {
 	if err := p.validate(); err != nil {
 		return ActivationResult{}, err
 	}
 	ckt, nodes, _ := buildCellCircuit(p)
 	tr := newEngine(ckt, p.StepPS*1e-12)
-	return measureActivation(tr, nodes, p, probe)
+	return measureActivation(tr, nodes, p, probe, adaptive)
 }
 
-// validate rejects parameter sets the engine cannot integrate.
+// validate rejects parameter sets the engine cannot integrate: the supply
+// levels, the step and the horizon must each be finite and positive (NaN
+// fails every comparison, so it would otherwise slip through as a run of
+// NaN voltages).
 func (p CellParams) validate() error {
-	if p.VDD <= 0 || p.VPP <= 0 || p.StepPS <= 0 {
-		return errors.New("spice: invalid cell parameters")
-	}
-	if p.Adaptive.LTETolV < 0 || p.Adaptive.MaxStepPS < 0 || p.Adaptive.ActivityTolV < 0 {
-		return errors.New("spice: negative adaptive stepping tolerance")
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"VDD", p.VDD}, {"VPP", p.VPP}, {"StepPS", p.StepPS}, {"MaxNS", p.MaxNS}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("spice: invalid cell parameters: %s %g is not a finite positive value", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -15,13 +15,12 @@ var goldenSweepVPPs = []float64{2.5, 2.4, 2.3, 2.2, 2.1, 2.0, 1.9, 1.8, 1.7}
 // Jacobian engine to the dense finite-difference reference on the Fig.
 // 8a/9a waveforms at every sweep VPP: both integrate the same nonlinear
 // system to the same Newton tolerance, so the traces must agree to 1e-9 V.
-// Adaptive stepping is disabled — this test is the FIXED-grid contract
-// between the two engines; adaptive_test.go pins the adaptive engine
-// against the same reference.
+// The probe puts the incremental engine on the full grid — this test is the
+// FIXED-grid contract between the two engines; adaptive_test.go pins the
+// adaptive engine against the same reference.
 func TestGoldenIncrementalMatchesReference(t *testing.T) {
 	for _, vpp := range goldenSweepVPPs {
 		p := DefaultCellParams(vpp)
-		p.Adaptive = AdaptiveConfig{}
 		var fastBL, fastCell, refBL, refCell []float64
 		fast, err := SimulateActivation(p, func(_, vbl, vcell float64) {
 			fastBL = append(fastBL, vbl)

@@ -142,12 +142,6 @@ type MCConfig struct {
 	// fold into the aggregates in index order through a bounded reorder
 	// window, so the result is byte-identical at any worker count.
 	Jobs int
-	// FixedGrid disables adaptive step coarsening and integrates every cell
-	// of the 25 ps grid, the pre-adaptive behavior.
-	FixedGrid bool
-	// LTETolV overrides the adaptive engine's step-doubling error tolerance
-	// in volts (0 = spice.DefaultLTETolV). Ignored under FixedGrid.
-	LTETolV float64
 }
 
 // jobs resolves the worker bound.
@@ -226,12 +220,6 @@ func RunMonteCarloSweep(ctx context.Context, vpps []float64, cfg MCConfig) ([]MC
 			// per-level, per-index RNG stream.
 			li, ri := i/cfg.Runs, i%cfg.Runs
 			p := Vary(DefaultCellParams(vpps[li]), roots[li].Derive("run", ri), cfg.Variation)
-			switch {
-			case cfg.FixedGrid:
-				p.Adaptive = AdaptiveConfig{}
-			case cfg.LTETolV > 0:
-				p.Adaptive.LTETolV = cfg.LTETolV
-			}
 			ws, _ := workspaces.Get().(*Workspace)
 			if ws == nil {
 				ws = NewWorkspace()

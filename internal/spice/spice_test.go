@@ -1,7 +1,9 @@
 package spice
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -369,10 +371,33 @@ func TestVaryBounds(t *testing.T) {
 	}
 }
 
+// TestInvalidCellParams: the supply levels, step and horizon must each be
+// finite and positive, and a rejection names the field. NaN used to pass
+// the old `<= 0` checks and run to NaN voltages.
 func TestInvalidCellParams(t *testing.T) {
-	p := DefaultCellParams(2.5)
-	p.StepPS = 0
-	if _, err := SimulateActivation(p, nil); err == nil {
-		t.Error("zero step accepted")
+	fields := []struct {
+		name string
+		set  func(*CellParams, float64)
+	}{
+		{"VDD", func(p *CellParams, v float64) { p.VDD = v }},
+		{"VPP", func(p *CellParams, v float64) { p.VPP = v }},
+		{"StepPS", func(p *CellParams, v float64) { p.StepPS = v }},
+		{"MaxNS", func(p *CellParams, v float64) { p.MaxNS = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DefaultCellParams(2.5)
+			f.set(&p, v)
+			want := fmt.Sprintf("%s %g is not a finite positive value", f.name, v)
+			if err := p.validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s=%g: validate() = %v, want an error containing %q", f.name, v, err, want)
+			}
+			if _, err := SimulateActivation(p, nil); err == nil {
+				t.Errorf("%s=%g: SimulateActivation accepted it", f.name, v)
+			}
+		}
+	}
+	if err := DefaultCellParams(2.5).validate(); err != nil {
+		t.Errorf("default parameters rejected: %v", err)
 	}
 }

@@ -28,9 +28,10 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Simulate runs one activation with the given parameters, reusing the
-// netlist and solver state from previous calls. The netlist topology is
-// fixed; only a change of integration step forces a rebuild (the Monte-Carlo
-// variation never touches StepPS).
+// netlist and solver state from previous calls. Like SimulateActivation it
+// steps adaptively when probe is nil and integrates every StepPS cell
+// otherwise. The netlist topology is fixed; only a change of integration
+// step forces a rebuild (the Monte-Carlo variation never touches StepPS).
 func (ws *Workspace) Simulate(p CellParams, probe Probe) (ActivationResult, error) {
 	if err := p.validate(); err != nil {
 		return ActivationResult{}, err
@@ -45,5 +46,5 @@ func (ws *Workspace) Simulate(p CellParams, probe Probe) (ActivationResult, erro
 		stampCellValues(ws.ckt, ws.nodes, ws.waves, p)
 		ws.tr.Reset()
 	}
-	return measureActivation(ws.tr, ws.nodes, p, probe)
+	return measureActivation(ws.tr, ws.nodes, p, probe, probe == nil)
 }

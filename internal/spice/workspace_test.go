@@ -10,14 +10,25 @@ import (
 
 // TestWorkspaceMatchesFreshSimulation pins the reuse path to the one-shot
 // path: a Workspace re-stamped with each run's varied parameters must
-// reproduce SimulateActivation bit for bit, including after prior runs have
-// dirtied the solver state and across a VPP change mid-sequence.
+// reproduce SimulateActivation bit for bit — the adaptive measurement of an
+// unprobed run and the full-grid waveform of a probed one — including after
+// prior runs have dirtied the solver state and across a VPP change
+// mid-sequence.
 func TestWorkspaceMatchesFreshSimulation(t *testing.T) {
 	ws := NewWorkspace()
 	root := rng.New(11).Derive("ws-test")
 	vpps := []float64{2.5, 1.8, 2.2, 1.7, 2.5}
 	for i, vpp := range vpps {
 		p := Vary(DefaultCellParams(vpp), root.Derive("run", i), 0.05)
+
+		gotAdaptive, errW := ws.Simulate(p, nil)
+		wantAdaptive, errF := SimulateActivation(p, nil)
+		if errW != nil || errF != nil {
+			t.Fatalf("run %d (%.1fV): adaptive: workspace %v, fresh %v", i, vpp, errW, errF)
+		}
+		if gotAdaptive != wantAdaptive {
+			t.Fatalf("run %d (%.1fV): adaptive results diverge:\nworkspace %+v\nfresh     %+v", i, vpp, gotAdaptive, wantAdaptive)
+		}
 
 		var wsBL, wsCell, freshBL, freshCell []float64
 		got, err := ws.Simulate(p, func(_, vbl, vcell float64) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -343,7 +344,10 @@ func RunShard(ctx context.Context, o Options, shard, of int, units []WorkUnit) (
 // merged campaign can still render every experiment id.
 //
 // The campaign options come from the artifacts themselves; all shards must
-// carry the identical canonical options.
+// carry the identical canonical options, and this build must read every
+// field of them: options that do not re-encode byte for byte (a knob from
+// a build this one does not know) describe a campaign this build cannot
+// reproduce, so they are refused rather than read at their defaults.
 func MergeArtifacts(arts ...*ShardArtifact) (*Campaign, error) {
 	merged, err := artifact.Merge(arts)
 	if err != nil {
@@ -352,6 +356,11 @@ func MergeArtifacts(arts ...*ShardArtifact) (*Campaign, error) {
 	var o Options
 	if err := json.Unmarshal(merged.Options, &o); err != nil {
 		return nil, fmt.Errorf("rhvpp: decoding artifact options: %w", err)
+	}
+	if raw, err := canonicalOptions(o); err != nil {
+		return nil, err
+	} else if !bytes.Equal(raw, merged.Options) {
+		return nil, errors.New("rhvpp: artifact options carry fields this build does not read")
 	}
 	c, err := NewCampaign(o)
 	if err != nil {

@@ -318,11 +318,11 @@ func TestRunShardHonorsCancellation(t *testing.T) {
 
 // TestShardArtifactsMergeAcrossOptionsGrowth pins the omitempty contract
 // behind the //detlint:fingerprint v1 freeze: an artifact encoded by a
-// binary predating the post-v1 knobs (SpiceFixedGrid, SpiceLTETolV) must
-// still merge with one encoded today, because those fields vanish from the
-// canonical encoding at their zero values. A
-// non-default post-v1 knob that changes the measurement is a genuine
-// fingerprint difference and must refuse to merge.
+// binary predating any post-v1 knob must still merge with one encoded
+// today, because such fields vanish from the canonical encoding at their
+// zero values. An artifact whose options carry a field this build does not
+// read (here a stepping tolerance knob some other build had) describes a
+// campaign this build cannot reproduce and must refuse to merge.
 func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
 	// optionsV1 mirrors Options as of the v1 fingerprint freeze, before
 	// any omitempty field existed. If canonicalOptions ever stops encoding
@@ -384,14 +384,12 @@ func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
 		t.Errorf("pre-growth artifact refused to merge with a current one: %v", err)
 	}
 
-	// A non-default post-v1 knob must surface in the fingerprint.
-	o2 := o
-	o2.SpiceFixedGrid = true
-	b1, err := RunShard(t.Context(), o2, 1, 2, half1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeArtifacts(a0, b1); err == nil {
-		t.Error("shards run under different SpiceFixedGrid settings merged; the knob is silently absent from the fingerprint")
+	// Options with a field this build lacks: both shards agree on them, so
+	// only the re-encoding check can catch that the field would be dropped.
+	grown := append(bytes.TrimSuffix(bytes.Clone(now), []byte("}")), `,"SpiceLTETolV":0.002}`...)
+	a0.Options, a1.Options = grown, grown
+	_, err = MergeArtifacts(a0, a1)
+	if err == nil || !strings.Contains(err.Error(), "fields this build does not read") {
+		t.Errorf("artifact with an unread options field: MergeArtifacts = %v, want a refusal", err)
 	}
 }
