@@ -147,14 +147,14 @@ func (c *cell[T]) set(v T) {
 // toward the paper's 10K-runs-per-level (and beyond) grows campaign time,
 // not campaign memory.
 //
-// Study execution goes through a pluggable Runner backend: each study plans
-// into deterministic work units (per-module testbeds; per-VPP-level
-// Monte-Carlo run ranges), the Runner executes them, and the results fold
-// back in catalog/(level, run) order. The default LocalRunner runs units
-// in-process; WithRunner swaps in ProcRunner (shard subprocesses) or a
-// custom backend without changing a byte of output. The same seam powers
-// multi-host sharding: PlanUnits + ShardUnits + RunShard emit per-shard
-// artifacts, and MergeArtifacts folds them back into a preloaded Campaign.
+// Study execution goes through a Runner: each study plans into
+// deterministic work units (per-module testbeds; per-VPP-level Monte-Carlo
+// run ranges), the Runner executes them, and the results fold back in
+// catalog/(level, run) order. LocalRunner runs units in-process; WithRunner
+// lets a test or benchmark substitute its own runner without changing a
+// byte of output. The same units power multi-process and multi-host
+// sharding: PlanUnits + ShardUnits + RunShard emit per-shard artifacts, and
+// MergeArtifacts folds them back into a preloaded Campaign.
 type Campaign struct {
 	opts     Options
 	runner   Runner

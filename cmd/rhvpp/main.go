@@ -1,11 +1,11 @@
 // Command rhvpp regenerates the paper's tables and figures from the
 // simulated study. Each experiment id corresponds to one table/figure of the
-// evaluation (see DESIGN.md for the full index). All ids run within one
-// Campaign session, so experiments sharing a study (e.g. table3 and fig3-6)
-// measure the hardware once; module sweeps run -jobs modules at a time with
-// byte-identical output at any worker count, and ctrl-C (or SIGTERM) cancels
-// the sweep cleanly — the process exits non-zero and never leaves a
-// partially-written artifact behind.
+// evaluation (the "Paper-to-code map" in docs/ARCHITECTURE.md has the full
+// index). All ids run within one Campaign session, so experiments sharing a
+// study (e.g. table3 and fig3-6) measure the hardware once; module sweeps
+// run -jobs modules at a time with byte-identical output at any worker
+// count, and ctrl-C (or SIGTERM) cancels the sweep cleanly — the process
+// exits non-zero and never leaves a partially-written artifact behind.
 //
 //	rhvpp -list
 //	rhvpp -exp table3
@@ -19,9 +19,6 @@
 //	rhvpp -shard 0/2 -artifact s0.json     # on tester A
 //	rhvpp -shard 1/2 -artifact s1.json     # on tester B
 //	rhvpp merge -exp all s0.json s1.json   # anywhere
-//
-// `rhvpp -procs N ...` runs the same split on one machine by fanning units
-// out to N subprocesses of this binary (the ProcRunner backend).
 package main
 
 import (
@@ -81,17 +78,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		progress = fs.Bool("progress", false, "print per-unit completion lines to stderr while studies run")
 		shard    = fs.String("shard", "", "run shard i/n of the campaign work units and write a shard artifact (e.g. -shard 0/2)")
 		artPath  = fs.String("artifact", "", "shard artifact output path (with -shard; default shard-<i>-of-<n>.json)")
-		procs    = fs.Int("procs", 0, "fan study units out to N shard subprocesses of this binary")
-		shardRun = fs.String("shard-exec", "", "internal: execute the ShardRequest JSON file at this path, write the artifact to stdout")
 	)
 	if err := optparse.ParseFlags(fs, args); err != nil {
 		return err
-	}
-
-	// Subprocess protocol mode (spawned by ProcRunner): no banners, the
-	// artifact is the only stdout output.
-	if *shardRun != "" {
-		return runShardExec(ctx, *shardRun, stdout)
 	}
 
 	if *list {
@@ -116,26 +105,22 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	ov.Apply(&o)
 
-	if *procs < 0 {
-		return fmt.Errorf("-procs %d is negative (use a positive subprocess count, or omit for in-process execution)", *procs)
-	}
 	if *artPath != "" && *shard == "" {
 		return fmt.Errorf("-artifact is only written by -shard runs (add -shard i/n, or drop -artifact)")
 	}
 	if *shard != "" {
-		// A shard run emits an artifact, not rendered output, and always
-		// executes in-process: flags that only shape rendering or the
-		// subprocess backend would be silently dead here, so reject the
+		// A shard run emits an artifact, not rendered output: flags that
+		// only shape rendering would be silently dead here, so reject the
 		// contradiction instead (the -full/-preset stance).
 		var conflicts []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "format", "out", "procs":
+			case "format", "out":
 				conflicts = append(conflicts, "-"+f.Name)
 			}
 		})
 		if len(conflicts) > 0 {
-			return fmt.Errorf("-shard contradicts %s (a shard writes an artifact in-process; render via `rhvpp merge`)",
+			return fmt.Errorf("-shard contradicts %s (a shard writes an artifact; render via `rhvpp merge`)",
 				strings.Join(conflicts, ", "))
 		}
 		return runShard(ctx, o, *shard, *artPath, *exp, stdout)
@@ -156,13 +141,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *progress {
 		c.WithProgress(stderrProgress())
-	}
-	if *procs > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("-procs: resolving own binary: %w", err)
-		}
-		c.WithRunner(rhvpp.ProcRunner{Command: []string{exe, "-shard-exec"}, Shards: *procs})
 	}
 	return renderExperiments(ctx, c, expandIDs(*exp), f, *outDir, stdout)
 }
@@ -210,7 +188,7 @@ func expandIDs(exp string) []string {
 }
 
 // renderExperiments renders each id through the campaign, with the same
-// banner/stream layout for the local, subprocess-backed, and merged paths.
+// banner/stream layout for the local and merged paths.
 func renderExperiments(ctx context.Context, c *rhvpp.Campaign, ids []string,
 	f rhvpp.Format, outDir string, stdout io.Writer) error {
 	ext, ok := outExt[f]
@@ -349,25 +327,6 @@ func writeArtifactAtomic(path string, art *rhvpp.ShardArtifact) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// runShardExec is the ProcRunner subprocess protocol: read one ShardRequest,
-// execute it, write the artifact JSON to stdout.
-func runShardExec(ctx context.Context, reqPath string, stdout io.Writer) error {
-	fh, err := os.Open(reqPath)
-	if err != nil {
-		return err
-	}
-	defer fh.Close() //detlint:ignore sinkerr read-only descriptor, close cannot lose written data
-	req, err := rhvpp.DecodeShardRequest(fh)
-	if err != nil {
-		return err
-	}
-	art, err := rhvpp.RunShard(ctx, req.Options, req.Shard, req.Of, req.Units)
-	if err != nil {
-		return err
-	}
-	return rhvpp.EncodeArtifact(stdout, art)
 }
 
 // runMerge combines shard artifacts and renders experiments from the merged

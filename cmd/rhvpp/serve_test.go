@@ -18,7 +18,7 @@ import (
 // TestCLIAndHTTPReportIdenticalErrors pins the shared option surface: an
 // invalid knob given as a CLI flag and as a query parameter must be rejected
 // with the same text, whether the rejection comes from parsing (an unknown
-// or retired knob) or from Options.Validate (a negative size, a size past
+// or retired knob or flag) or from Options.Validate (a negative size, a size past
 // its cap, a row selection larger than the bank).
 func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 	hs := httptest.NewServer(server.New(server.Config{Base: rhvpp.GoldenOptions()}).Handler())
@@ -34,6 +34,8 @@ func TestCLIAndHTTPReportIdenticalErrors(t *testing.T) {
 		{"fixed-grid", "true"},
 		{"fixed-grid", "false"},
 		{"batch", "4"},
+		{"procs", "2"},
+		{"shard-exec", "req.json"},
 		{"chunks", "3037000500"},
 		{"rows", "3037000500"},
 		{"rows", "100000000000"},

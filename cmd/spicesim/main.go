@@ -8,10 +8,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"github.com/dramstudy/rhvpp/internal/report"
 	"github.com/dramstudy/rhvpp/internal/spice"
@@ -49,7 +52,13 @@ func main() {
 		return
 	}
 
-	res, err := spice.MonteCarlo(*vpp, *runs, *seed, *varPct/100)
+	// ctrl-C (or SIGTERM) cancels the run. Jobs stays unset (one worker per
+	// CPU): the result is byte-identical at any worker count.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	res, err := spice.RunMonteCarlo(ctx, spice.MCConfig{
+		VPP: *vpp, Runs: *runs, Seed: *seed, Variation: *varPct / 100,
+	})
 	if err != nil {
 		fatal(err)
 	}

@@ -4,10 +4,11 @@
 //
 // The physical study cannot run without 272 DDR4 chips, an FPGA, and a lab
 // power supply; this package substitutes a behavioral DDR4 device simulator
-// calibrated against every number the paper publishes (see DESIGN.md), a
-// SoftMC-class memory controller, the bench instruments around them, and a
-// SPICE-class circuit simulator for the paper's Figs. 8-9 — and then runs
-// the paper's own characterization algorithms on top.
+// calibrated against every number the paper publishes (see the
+// "Paper-to-code map" in docs/ARCHITECTURE.md), a SoftMC-class memory
+// controller, the bench instruments around them, and a SPICE-class circuit
+// simulator for the paper's Figs. 8-9 — and then runs the paper's own
+// characterization algorithms on top.
 //
 // Two entry points cover most uses:
 //
@@ -39,11 +40,10 @@
 // golden tests (see docs/ARCHITECTURE.md for the full paper-to-code map):
 //
 //   - Byte-identical rendering at any scale-out: the same Options render
-//     the same bytes at any Options.Jobs worker count, under the
-//     subprocess ProcRunner backend, and across any -shard i/n split
-//     merged with MergeArtifacts — work units are deterministic, every
-//     parallel unit draws from its own index-derived RNG stream, and
-//     partials fold in catalog/(level, run) order.
+//     the same bytes at any Options.Jobs worker count and across any
+//     -shard i/n split merged with MergeArtifacts — work units are
+//     deterministic, every parallel unit draws from its own index-derived
+//     RNG stream, and partials fold in catalog/(level, run) order.
 //   - Dense-reference accuracy: the SPICE engines are pinned to the dense
 //     finite-difference reference — 1e-9 V for the incremental engine on
 //     the full grid (a probed run), spice.AccuracyTolV for adaptive
@@ -52,8 +52,8 @@
 //     integration on the golden population.
 //
 // Campaigns can be split across processes or hosts with Plan / ShardUnits /
-// RunShard / MergeArtifacts (the Runner seam); see README.md for the CLI
-// workflow.
+// RunShard / MergeArtifacts, the one multi-process path; see README.md for
+// the CLI workflow.
 //
 // The coding invariants behind the byte-identical guarantee are catalogued
 // in docs/DETERMINISM.md and enforced statically by the internal/analysis

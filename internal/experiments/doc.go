@@ -1,9 +1,10 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation, plus the ablation studies listed in DESIGN.md. Each
-// driver assembles a testbed per module, runs the core characterization
-// algorithms across the VPP sweep, and returns structured results together
-// with render helpers that emit the same rows/series the paper reports
-// through a report.Encoder.
+// paper's evaluation, plus the ablation studies listed in the
+// "Paper-to-code map" of docs/ARCHITECTURE.md. Each driver assembles a
+// testbed per module, runs the core characterization algorithms across the
+// VPP sweep, and returns structured results together with render helpers
+// that emit the same rows/series the paper reports through a
+// report.Encoder.
 //
 // # Execution model
 //

@@ -189,19 +189,15 @@ func validateUnits(o Options, study string, units []UnitRef) ([]UnitRef, error) 
 // level's runs fold in (level, run) order — per-level results are identical
 // no matter how levels are grouped into shards, because every run draws from
 // its own per-level, per-index RNG stream.
-func RunUnits(ctx context.Context, o Options, study string, units []UnitRef) ([]json.RawMessage, error) {
-	return RunUnitsObserved(ctx, o, study, units, nil)
-}
-
-// RunUnitsObserved is RunUnits with a completion hook: onUnit fires once per
-// unit as its partial result becomes available. Module-study hooks fire from
-// the pool's worker goroutines (concurrently, in completion order — the
-// results themselves still fold in catalog order); SPICE Monte-Carlo hooks
-// fire in level order after the sweep, because the global run queue
-// interleaves levels and a level is not "done" until the sweep is. The hook
-// observes execution only — a nil onUnit is exactly RunUnits, and the
-// returned payloads are byte-identical either way.
-func RunUnitsObserved(ctx context.Context, o Options, study string, units []UnitRef, onUnit func(UnitRef)) ([]json.RawMessage, error) {
+//
+// A non-nil onUnit fires once per unit as its partial result becomes
+// available. Module-study hooks fire from the pool's worker goroutines
+// (concurrently, in completion order — the results themselves still fold in
+// catalog order); SPICE Monte-Carlo hooks fire in level order after the
+// sweep, because the global run queue interleaves levels and a level is not
+// "done" until the sweep is. The hook observes execution only: the returned
+// payloads are byte-identical with or without it.
+func RunUnits(ctx context.Context, o Options, study string, units []UnitRef, onUnit func(UnitRef)) ([]json.RawMessage, error) {
 	if len(units) == 0 {
 		return nil, nil
 	}

@@ -7,8 +7,7 @@
 //   - a per-module DeviceModel that samples deterministic per-row and
 //     per-cell behavior (RowHammer thresholds, retention times, activation
 //     latencies) calibrated so that running the paper's own algorithms
-//     against the simulated devices lands on the published aggregates
-//     (DESIGN.md §3 lists every calibration target).
+//     against the simulated devices lands on the published aggregates.
 //
 // The model separates the two error mechanisms the paper identifies:
 // electron injection / capacitive crosstalk, whose strength scales with the

@@ -174,23 +174,6 @@ func TestMonteCarloDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestMonteCarloMatchesSerialConvenience pins the back-compat wrapper to
-// the configurable API.
-func TestMonteCarloMatchesSerialConvenience(t *testing.T) {
-	viaWrapper, err := MonteCarlo(2.2, 8, 7, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaConfig, err := RunMonteCarlo(context.Background(),
-		MCConfig{VPP: 2.2, Runs: 8, Seed: 7, Variation: 0.05, Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaWrapper, viaConfig) {
-		t.Errorf("wrapper and config API diverge:\n%+v\n%+v", viaWrapper, viaConfig)
-	}
-}
-
 // TestMCResultRecordsNoConverge pins the campaign bookkeeping: a diverging
 // run is not a campaign abort but an unreliable, unrestored sample with its
 // own counter (the Fig. 8b/9b low-VPP regime).

@@ -152,15 +152,6 @@ func (c MCConfig) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// MonteCarlo runs the activation simulation `runs` times at the given VPP
-// with ±variation parameter spread, mirroring the paper's 10K-run campaign
-// per voltage level. It is the serial convenience form of RunMonteCarlo.
-func MonteCarlo(vpp float64, runs int, seed uint64, variation float64) (MCResult, error) {
-	return RunMonteCarlo(context.Background(), MCConfig{
-		VPP: vpp, Runs: runs, Seed: seed, Variation: variation, Jobs: 1,
-	})
-}
-
 // mcRun is one sample's outcome, delivered to the aggregation fold in index
 // order so the result never depends on worker scheduling.
 type mcRun struct {

@@ -62,7 +62,7 @@ func TestMCResultMergeMatchesWholeStream(t *testing.T) {
 // TestMCResultJSONRoundTrip: the per-level shard payload reproduces every
 // aggregate after a trip through its artifact encoding.
 func TestMCResultJSONRoundTrip(t *testing.T) {
-	res, err := MonteCarlo(2.0, 8, 2022, 0.05)
+	res, err := RunMonteCarlo(t.Context(), MCConfig{VPP: 2.0, Runs: 8, Seed: 2022, Variation: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

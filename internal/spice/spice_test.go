@@ -305,14 +305,14 @@ func TestMonteCarloReliability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo is slow")
 	}
-	hi, err := MonteCarlo(2.5, 60, 5, 0.05)
+	hi, err := RunMonteCarlo(t.Context(), MCConfig{VPP: 2.5, Runs: 60, Seed: 5, Variation: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hi.ReliableFraction() != 1 {
 		t.Errorf("2.5V reliability = %v, want 1.0", hi.ReliableFraction())
 	}
-	lo, err := MonteCarlo(1.5, 60, 5, 0.05)
+	lo, err := RunMonteCarlo(t.Context(), MCConfig{VPP: 1.5, Runs: 60, Seed: 5, Variation: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,11 +329,11 @@ func TestMonteCarloDistributionShifts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo is slow")
 	}
-	hi, err := MonteCarlo(2.5, 40, 7, 0.05)
+	hi, err := RunMonteCarlo(t.Context(), MCConfig{VPP: 2.5, Runs: 40, Seed: 7, Variation: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := MonteCarlo(1.8, 40, 7, 0.05)
+	lo, err := RunMonteCarlo(t.Context(), MCConfig{VPP: 1.8, Runs: 40, Seed: 7, Variation: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

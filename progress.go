@@ -47,9 +47,10 @@ type ObservedRunner interface {
 	RunStudyObserved(ctx context.Context, o Options, study Study, units []WorkUnit, onUnit func(WorkUnit)) ([]UnitResult, error)
 }
 
-// RunStudyObserved implements ObservedRunner on the in-process backend.
+// RunStudyObserved implements ObservedRunner on the in-process backend. A
+// nil onUnit is exactly RunStudy.
 func (LocalRunner) RunStudyObserved(ctx context.Context, o Options, study Study, units []WorkUnit, onUnit func(WorkUnit)) ([]UnitResult, error) {
-	payloads, err := experiments.RunUnitsObserved(ctx, o, string(study), units, onUnit)
+	payloads, err := experiments.RunUnits(ctx, o, string(study), units, onUnit)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +122,7 @@ func RunShardObserved(ctx context.Context, o Options, shard, of int, units []Wor
 	}
 	for _, study := range order {
 		su := byStudy[study]
-		payloads, err := experiments.RunUnitsObserved(ctx, o, study, su, onUnit)
+		payloads, err := experiments.RunUnits(ctx, o, study, su, onUnit)
 		if err != nil {
 			return nil, fmt.Errorf("rhvpp: shard %d/%d study %s: %w", shard, of, study, err)
 		}

@@ -33,23 +33,21 @@ func (c *collectProgress) snapshot() []ProgressEvent {
 	return append([]ProgressEvent(nil), c.events...)
 }
 
+// plainRunner hides LocalRunner's RunStudyObserved, so the campaign must
+// take its fallback for Runners that cannot report units as they finish.
+type plainRunner struct{}
+
+func (plainRunner) RunStudy(ctx context.Context, o Options, study Study, units []WorkUnit) ([]UnitResult, error) {
+	return LocalRunner{}.RunStudy(ctx, o, study, units)
+}
+
 // TestProgressHookObservesWithoutChangingOutput drives one study with and
-// without a progress hook: the rendered bytes must be identical, and the
-// hook must see the study announcement plus every unit exactly once, with
-// the done counter reaching the total.
+// without a progress hook, through an ObservedRunner and through a plain
+// Runner: the rendered bytes must be identical, and the hook must see the
+// study announcement plus every unit exactly once, with the done counter
+// reaching the total.
 func TestProgressHookObservesWithoutChangingOutput(t *testing.T) {
 	o := campaignOptions("B3", "C0")
-	plain, err := NewCampaign(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var col collectProgress
-	observed, err := NewCampaign(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed.WithProgress(col.fn)
-
 	render := func(c *Campaign) []byte {
 		var buf bytes.Buffer
 		enc, err := NewEncoder(FormatJSON, &buf)
@@ -61,32 +59,48 @@ func TestProgressHookObservesWithoutChangingOutput(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	plain, err := NewCampaign(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := render(plain)
-	got := render(observed)
-	if !bytes.Equal(want, got) {
-		t.Error("progress hook changed the rendered bytes")
-	}
 
-	events := col.snapshot()
-	if len(events) != 3 {
-		t.Fatalf("got %d events, want 3 (announcement + 2 modules): %+v", len(events), events)
-	}
-	if events[0].Key != "" || events[0].Total != 2 || events[0].Done != 0 {
-		t.Errorf("announcement event %+v", events[0])
-	}
-	seen := map[string]bool{}
-	maxDone := 0
-	for _, ev := range events[1:] {
-		if ev.Study != string(StudyRowHammer) || ev.Total != 2 {
-			t.Errorf("unit event %+v", ev)
+	for _, tc := range []struct {
+		name   string
+		runner Runner
+	}{
+		{"observed", LocalRunner{}},
+		{"plain", plainRunner{}},
+	} {
+		var col collectProgress
+		observed, err := NewCampaign(o)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[ev.Key] = true
-		if ev.Done > maxDone {
-			maxDone = ev.Done
+		observed.WithRunner(tc.runner).WithProgress(col.fn)
+		if got := render(observed); !bytes.Equal(want, got) {
+			t.Errorf("%s: progress hook changed the rendered bytes", tc.name)
 		}
-	}
-	if !seen["B3"] || !seen["C0"] || maxDone != 2 {
-		t.Errorf("unit events incomplete: %+v", events[1:])
+
+		events := col.snapshot()
+		if len(events) != 3 {
+			t.Fatalf("%s: got %d events, want 3 (announcement + 2 modules): %+v", tc.name, len(events), events)
+		}
+		if events[0].Key != "" || events[0].Total != 2 || events[0].Done != 0 {
+			t.Errorf("%s: announcement event %+v", tc.name, events[0])
+		}
+		seen := map[string]int{}
+		maxDone := 0
+		for _, ev := range events[1:] {
+			if ev.Study != string(StudyRowHammer) || ev.Total != 2 {
+				t.Errorf("%s: unit event %+v", tc.name, ev)
+			}
+			seen[ev.Key]++
+			maxDone = max(maxDone, ev.Done)
+		}
+		if seen["B3"] != 1 || seen["C0"] != 1 || maxDone != 2 {
+			t.Errorf("%s: unit events incomplete: %+v", tc.name, events[1:])
+		}
 	}
 }
 

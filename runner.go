@@ -7,13 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"os/exec"
-	"runtime"
 
 	"github.com/dramstudy/rhvpp/internal/artifact"
 	"github.com/dramstudy/rhvpp/internal/experiments"
-	"github.com/dramstudy/rhvpp/internal/pool"
 )
 
 // WorkUnit names one independently-executable slice of a study: a per-module
@@ -33,9 +29,11 @@ type UnitResult struct {
 }
 
 // Runner executes the work units of one study. It is the campaign's
-// execution backend seam: LocalRunner (the default) runs units in-process on
-// the bounded worker pool, ProcRunner fans them out to shard subprocesses,
-// and future backends (SSH fleets, containers) implement the same contract.
+// execution backend seam: LocalRunner, the only backend this package ships,
+// runs units in-process on the bounded worker pool, and tests and benchmarks
+// substitute their own runners through Campaign.WithRunner. Work spreads
+// across processes or hosts through RunShard and MergeArtifacts (`rhvpp
+// -shard i/n` plus `rhvpp merge`), not through a Runner.
 //
 // Contract: RunStudy returns one UnitResult per requested unit (any order);
 // results must be exactly what experiments.RunUnits produces for the unit,
@@ -53,189 +51,8 @@ type Runner interface {
 type LocalRunner struct{}
 
 // RunStudy implements Runner.
-func (LocalRunner) RunStudy(ctx context.Context, o Options, study Study, units []WorkUnit) ([]UnitResult, error) {
-	payloads, err := experiments.RunUnits(ctx, o, string(study), units)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]UnitResult, len(units))
-	for i, u := range units {
-		out[i] = UnitResult{Unit: u, Data: payloads[i]}
-	}
-	return out, nil
-}
-
-// ShardRequest is the subprocess protocol of ProcRunner and `rhvpp
-// -shard-exec`: the spawned process reads one request (a JSON file whose
-// path is appended to the command line), executes the units under the given
-// options, and writes the resulting shard artifact JSON to stdout.
-type ShardRequest struct {
-	Shard   int        `json:"shard"`
-	Of      int        `json:"of"`
-	Options Options    `json:"options"`
-	Units   []WorkUnit `json:"units"`
-}
-
-// DecodeShardRequest reads one ShardRequest — the `-shard-exec` protocol
-// input a shard subprocess consumes.
-func DecodeShardRequest(r io.Reader) (*ShardRequest, error) {
-	var req ShardRequest
-	if err := json.NewDecoder(r).Decode(&req); err != nil {
-		return nil, fmt.Errorf("rhvpp: decoding shard request: %w", err)
-	}
-	return &req, nil
-}
-
-// ProcRunner fans work units out to shard subprocesses, each executing a
-// `rhvpp -shard-exec`-style protocol: the runner splits a study's units
-// round-robin into Shards groups, spawns Command+[requestPath] per group,
-// and collects each group's shard artifact from the subprocess's stdout.
-//
-// It exists both as a working multi-process backend on one machine and as
-// the reference implementation of the artifact plumbing a multi-host backend
-// needs; the manual equivalent is `rhvpp -shard i/n` per host plus `rhvpp
-// merge`.
-type ProcRunner struct {
-	// Command is the argv prefix of one shard subprocess, e.g.
-	// []string{"/usr/local/bin/rhvpp", "-shard-exec"}. The request file path
-	// is appended as the final argument. Required.
-	Command []string
-	// Shards is the number of subprocesses to split units across (1 if
-	// unset or smaller).
-	Shards int
-}
-
-// RunStudy implements Runner.
-func (r ProcRunner) RunStudy(ctx context.Context, o Options, study Study, units []WorkUnit) ([]UnitResult, error) {
-	if len(r.Command) == 0 {
-		return nil, fmt.Errorf("rhvpp: ProcRunner needs a Command to spawn shard subprocesses")
-	}
-	shards := r.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > len(units) {
-		shards = len(units)
-	}
-	groups := make([][]WorkUnit, shards)
-	for g := range groups {
-		var err error
-		if groups[g], err = ShardUnits(units, g, shards); err != nil {
-			return nil, err
-		}
-	}
-	// Split the worker budget across subprocesses: each shard inheriting the
-	// full Jobs setting would oversubscribe the machine shards-fold. The
-	// remainder spreads one extra worker over the first shards so the whole
-	// budget stays in use. Jobs never changes what a shard measures, only
-	// how fast.
-	effective := o.Jobs
-	if effective <= 0 {
-		effective = runtime.GOMAXPROCS(0)
-	}
-	jobsFor := func(g int) int {
-		j := effective / shards
-		if g < effective%shards {
-			j++
-		}
-		if j < 1 {
-			j = 1
-		}
-		return j
-	}
-
-	// Fail fast via the pool: the first shard error cancels the siblings
-	// instead of letting hours of doomed work run to completion, and each
-	// shard's results land in the pool's own slot for that index — no
-	// goroutine writes memory it shares with a sibling.
-	idx := make([]int, shards)
-	for g := range idx {
-		idx[g] = g
-	}
-	results, err := pool.Run(ctx, shards, idx, func(ctx context.Context, g int) ([]UnitResult, error) {
-		so := o
-		so.Jobs = jobsFor(g)
-		rs, err := r.runShardProc(ctx, so, g, shards, groups[g])
-		if err != nil {
-			return nil, fmt.Errorf("rhvpp: shard %d/%d: %w", g, shards, err)
-		}
-		return rs, nil
-	})
-	if err != nil {
-		// The caller's cancellation wins (pool.Run returns it bare);
-		// otherwise the pool already preferred the genuine shard failure
-		// over cancellation fallout from its own fail-fast cancel.
-		if perr := ctx.Err(); perr != nil {
-			return nil, fmt.Errorf("rhvpp: shard fan-out: %w", perr)
-		}
-		return nil, err
-	}
-	out := make([]UnitResult, 0, len(units))
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	return out, nil
-}
-
-// runShardProc executes one subprocess for one unit group and decodes its
-// artifact.
-func (r ProcRunner) runShardProc(ctx context.Context, o Options, shard, of int, units []WorkUnit) ([]UnitResult, error) {
-	req, err := os.CreateTemp("", "rhvpp-shard-*.json")
-	if err != nil {
-		return nil, err
-	}
-	defer os.Remove(req.Name()) //detlint:ignore sinkerr best-effort temp cleanup of the request file
-	enc := json.NewEncoder(req)
-	if err := enc.Encode(ShardRequest{Shard: shard, Of: of, Options: o, Units: units}); err != nil {
-		req.Close() //detlint:ignore sinkerr already failing, the encode error is the one to surface
-		return nil, err
-	}
-	if err := req.Close(); err != nil {
-		return nil, err
-	}
-
-	var stdout, stderr bytes.Buffer
-	args := append(append([]string(nil), r.Command[1:]...), req.Name())
-	cmd := exec.CommandContext(ctx, r.Command[0], args...)
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err() // killed by cancellation, not a shard fault
-		}
-		return nil, fmt.Errorf("%s: %w (stderr: %s)", r.Command[0], err, bytes.TrimSpace(stderr.Bytes()))
-	}
-	art, err := artifact.Decode(&stdout)
-	if err != nil {
-		return nil, err
-	}
-	return unitResultsFromArtifact(art, units)
-}
-
-// unitResultsFromArtifact checks that the artifact covers exactly the
-// requested units — nothing missing, nothing invented — and converts them.
-func unitResultsFromArtifact(art *artifact.Artifact, units []WorkUnit) ([]UnitResult, error) {
-	type id struct{ study, key string }
-	want := make(map[id]bool, len(units))
-	for _, u := range units {
-		want[id{u.Study, u.Key}] = true
-	}
-	got := make(map[id]artifact.Unit, len(art.Units))
-	for _, u := range art.Units {
-		if !want[id{u.Study, u.Key}] {
-			return nil, fmt.Errorf("rhvpp: shard artifact carries unrequested unit %s/%q", u.Study, u.Key)
-		}
-		got[id{u.Study, u.Key}] = u
-	}
-	out := make([]UnitResult, len(units))
-	for i, w := range units {
-		u, ok := got[id{w.Study, w.Key}]
-		if !ok {
-			return nil, fmt.Errorf("rhvpp: shard artifact is missing unit %s/%q", w.Study, w.Key)
-		}
-		out[i] = UnitResult{Unit: WorkUnit{Study: u.Study, Key: u.Key, Index: u.Index}, Data: u.Data}
-	}
-	return out, nil
+func (r LocalRunner) RunStudy(ctx context.Context, o Options, study Study, units []WorkUnit) ([]UnitResult, error) {
+	return r.RunStudyObserved(ctx, o, study, units, nil)
 }
 
 // ShardArtifact is the versioned on-disk encoding of one shard's study

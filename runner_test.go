@@ -271,36 +271,6 @@ func TestCampaignRejectsMisbehavingRunner(t *testing.T) {
 	}
 }
 
-// TestProcRunnerNeedsCommand pins the explicit-configuration contract.
-func TestProcRunnerNeedsCommand(t *testing.T) {
-	c, err := NewCampaign(shardTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WithRunner(ProcRunner{Shards: 2}).CV(t.Context()); err == nil {
-		t.Error("ProcRunner without Command must error")
-	}
-}
-
-// TestProcRunnerReportsSubprocessFailure: a failing shard subprocess surfaces
-// as a genuine error (with the shard named), not a hang or a cancellation.
-func TestProcRunnerReportsSubprocessFailure(t *testing.T) {
-	c, err := NewCampaign(shardTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.WithRunner(ProcRunner{Command: []string{"false"}, Shards: 2}).CV(t.Context())
-	if err == nil {
-		t.Fatal("failing subprocess reported success")
-	}
-	if errors.Is(err, context.Canceled) {
-		t.Errorf("subprocess failure mis-reported as cancellation: %v", err)
-	}
-	if !strings.Contains(err.Error(), "shard") {
-		t.Errorf("error should locate the failing shard: %v", err)
-	}
-}
-
 // TestRunShardHonorsCancellation: a canceled shard run returns the context
 // error so callers do not write a partial artifact.
 func TestRunShardHonorsCancellation(t *testing.T) {
